@@ -12,7 +12,7 @@ block, which makes it an inclusion-logic formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .models import Model
 from .normalform import NormalForm
@@ -254,48 +254,71 @@ def _split_and(f: Formula) -> Iterator[Formula]:
 # ---------------------------------------------------------------------------
 # Classical truth of the (prefix, conjuncts) view
 
+Test = Callable[[dict[str, str]], bool]
+
+
 def prefix_truth(model: Model, prefix: tuple[tuple[str, str], ...],
                  conjuncts: tuple[Formula, ...], max_nodes: int = 4_000_000) -> bool:
-    """Classical truth of ``prefix . conj(conjuncts)`` by depth-first search.
+    """Classical truth of ``prefix . conj(conjuncts)`` by miniscoped subgames.
 
-    Each conjunct is tested as soon as its last variable is assigned, which
-    prunes the search hard on the equality-linked approximation formulas.
+    Innermost first, each quantifier ``Q v`` takes the conjuncts and subgames
+    that read ``v`` and becomes one subgame; the rest stay outside it, so
+    parts of the matrix that share no variable are played independently.  A
+    quantifier nothing reads is dropped (a model has at least two elements).
+    Each subgame is memoised for this call on the outer values it reads, and
+    an ``E v`` holding a conjunct ``v = u`` tries only the value of ``u``.
+    ``max_nodes`` bounds the values tried over all subgames.
     """
-    position = {v: k for k, (_, v) in enumerate(prefix)}
-    triggers: list[list[Formula]] = [[] for _ in prefix]
-    ground: list[Formula] = []
+    # items: (free variables, variable equality or None, test of an assignment)
+    items: list[tuple[frozenset[str], tuple[str, str] | None, Test]] = []
     for c in conjuncts:
         if not (is_first_order(c) and is_quantifier_free(c)):
             raise ApproxError("prefix_truth needs quantifier-free first-order conjuncts")
-        fv = free_vars(c)
-        if not fv:
-            ground.append(c)
-            continue
-        triggers[max(position[v] for v in fv)].append(c)
-    env: dict[str, str] = {}
+        if isinstance(c, Equals) and isinstance(c.left, Var) and isinstance(c.right, Var):
+            a, b = c.left.name, c.right.name
+            items.append((free_vars(c), (a, b), lambda env, a=a, b=b: env[a] == env[b]))
+        else:
+            items.append((free_vars(c), None, lambda env, c=c: _fo(model, env, c)))
     budget = [max_nodes]
+    for kind, var in reversed(prefix):
+        inner = [item for item in items if var in item[0]]
+        if not inner:
+            continue
+        items = [item for item in items if var not in item[0]]
+        reads = frozenset().union(*(fv for fv, _, _ in inner)) - {var}
+        pin = None
+        if kind == "E":
+            pin = next((eq[1] if eq[0] == var else eq[0] for _, eq, _ in inner
+                        if eq and var in eq and eq[0] != eq[1]), None)
+        items.append((reads, None, _subgame(model.universe, kind == "E", var, pin,
+                                            tuple(reads), [t for _, _, t in inner],
+                                            budget, max_nodes)))
+    return all(test({}) for _, _, test in items)
 
-    def rec(k: int) -> bool:
-        if k == len(prefix):
-            return True
-        kind, var = prefix[k]
-        result = kind == "A"
-        for a in model.universe:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise GuardExceeded(f"approximation evaluation budget {max_nodes} exhausted")
-            env[var] = a
-            good = all(_fo(model, env, c) for c in triggers[k]) and rec(k + 1)
-            if kind == "E" and good:
-                result = True
-                break
-            if kind == "A" and not good:
-                result = False
-                break
-        env.pop(var, None)
-        return result
 
-    return all(_fo(model, {}, c) for c in ground) and rec(0)
+def _subgame(universe: tuple[str, ...], exists: bool, var: str, pin: str | None,
+             reads: tuple[str, ...], tests: list[Test], budget: list[int],
+             max_nodes: int) -> Test:
+    """The game of one quantifier over ``tests``, memoised on ``reads``."""
+    memo: dict[tuple[str, ...], bool] = {}
+
+    def play(env: dict[str, str]) -> bool:
+        key = tuple(env[u] for u in reads)
+        value = memo.get(key)
+        if value is None:
+            value = not exists
+            for a in (env[pin],) if pin else universe:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise GuardExceeded(f"approximation evaluation budget {max_nodes} exhausted")
+                env[var] = a
+                if all(test(env) for test in tests) == exists:
+                    value = exists
+                    break
+            memo[key] = value
+        return value
+
+    return play
 
 
 def check_approx(model: Model, nf: NormalForm, n: int,

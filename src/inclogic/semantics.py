@@ -104,11 +104,7 @@ def _fo(model: Model, s: dict[str, str], f: Formula) -> bool:
     if isinstance(f, Or):
         return _fo(model, s, f.left) or _fo(model, s, f.right)
     if isinstance(f, Exists):
-        old = s.get(f.var)
-        try:
-            return any(_fo(model, {**s, f.var: a}, f.body) for a in model.universe)
-        finally:
-            pass
+        return any(_fo(model, {**s, f.var: a}, f.body) for a in model.universe)
     if isinstance(f, Forall):
         return all(_fo(model, {**s, f.var: a}, f.body) for a in model.universe)
     raise EvalError(f"not first-order: {f!r}")

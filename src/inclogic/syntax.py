@@ -269,16 +269,6 @@ def quantifier_depth(f: Formula) -> int:
     return 1 + quantifier_depth(f.body)
 
 
-def formula_size(f: Formula) -> int:
-    if isinstance(f, (Bottom, Equals, Relation, Inclusion)):
-        return 1
-    if isinstance(f, Not):
-        return 1 + formula_size(f.body)
-    if isinstance(f, (And, Or)):
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    return 1 + formula_size(f.body)
-
-
 def subformulas(f: Formula) -> Iterator[Formula]:
     yield f
     if isinstance(f, Not):

@@ -14,15 +14,62 @@ from inclogic.approx import (
 from inclogic.models import SINGLETON_EMPTY_DOMAIN, parse_model
 from inclogic.normalform import normal_form
 from inclogic.parser import parse_formula
-from inclogic.semantics import GuardExceeded, eval_fast
-from inclogic.suites import SUITE_SIG, gen_model, gen_sentence
-from inclogic.syntax import free_vars, is_first_order, pretty
+from inclogic.semantics import GuardExceeded, _fo, eval_fast
+from inclogic.suites import DEFAULT_SEED, SUITE_SIG, gen_model, gen_sentence
+from inclogic.syntax import free_vars, is_first_order, is_quantifier_free, pretty
 
 M2 = parse_model("""
 universe: a b
 relation P/1: (a)
 relation R/2: (a,b) (b,a)
 """)
+
+
+M3 = parse_model("universe: e0 e1 e2\n")
+
+# true on every model (take c = a), yet a blind prefix search over its
+# level-2 approximation runs out of a 4,000,000-node budget
+TRIP = "A a. A b. E c. (a <= c)"
+
+
+def _dfs_prefix_truth(model, prefix, conjuncts, max_nodes=4_000_000):
+    """Reference: one depth-first search over the whole prefix, testing each
+    conjunct as soon as its last variable is assigned."""
+    position = {v: k for k, (_, v) in enumerate(prefix)}
+    triggers = [[] for _ in prefix]
+    ground = []
+    for c in conjuncts:
+        if not (is_first_order(c) and is_quantifier_free(c)):
+            raise ApproxError("prefix_truth needs quantifier-free first-order conjuncts")
+        fv = free_vars(c)
+        if not fv:
+            ground.append(c)
+            continue
+        triggers[max(position[v] for v in fv)].append(c)
+    env = {}
+    budget = [max_nodes]
+
+    def rec(k):
+        if k == len(prefix):
+            return True
+        kind, var = prefix[k]
+        result = kind == "A"
+        for a in model.universe:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise GuardExceeded(f"approximation evaluation budget {max_nodes} exhausted")
+            env[var] = a
+            good = all(_fo(model, env, c) for c in triggers[k]) and rec(k + 1)
+            if kind == "E" and good:
+                result = True
+                break
+            if kind == "A" and not good:
+                result = False
+                break
+        env.pop(var, None)
+        return result
+
+    return all(_fo(model, {}, c) for c in ground) and rec(0)
 
 
 def sentence(text):
@@ -171,3 +218,43 @@ relation R/2: (a,b) (b,a)
             plain = check_approx(model, nf, 1)
             assert plain or not strong
             checked += 1
+
+    def test_matches_dfs_on_criterion_5_stream(self):
+        # criterion 5's sentence stream and size filter; the reference search
+        # is capped, and the levels it cannot decide within the cap are counted
+        rng = random.Random(DEFAULT_SEED)
+        sentences = compared = skipped = 0
+        while sentences < 400:
+            f = gen_sentence(rng)
+            if free_vars(f):
+                continue
+            nf = normal_form(f)
+            try:
+                book = build_indices(nf, 2, max_blocks=30)
+            except GuardExceeded:
+                continue
+            if book.total_blocks() * (len(nf.w) + len(nf.x)) > 120:
+                continue
+            model = gen_model(rng, max_size=3)
+            sentences += 1
+            for n in range(3):
+                af = build_approx(nf, n)
+                try:
+                    expected = _dfs_prefix_truth(model, af.prefix, af.conjuncts,
+                                                 max_nodes=20_000)
+                except GuardExceeded:
+                    skipped += 1
+                    continue
+                assert prefix_truth(model, af.prefix, af.conjuncts) == expected, (f, n)
+                compared += 1
+        assert (compared, skipped) == (1177, 23)
+
+    def test_independent_subgames_stay_within_budget(self):
+        nf = nf_of(TRIP)
+        for n in range(4):
+            assert check_approx(M3, nf, n, max_nodes=10_000)
+
+    def test_budget_still_guards(self):
+        af = build_approx(nf_of(TRIP), 2)
+        with pytest.raises(GuardExceeded):
+            prefix_truth(M3, af.prefix, af.conjuncts, max_nodes=1)

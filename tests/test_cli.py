@@ -117,6 +117,14 @@ def test_approx(files, capsys):
     assert main(["approx", "--formula", "x = x"]) == 2  # not a sentence
 
 
+def test_approx_independent_subgames(files, capsys):
+    code = main(["approx", "--model", files["cycle"], "--n", "2",
+                 "--formula", "A a. A b. E c. (a <= c)"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "level 2: true" in out and "approx-stable" in out
+
+
 def test_corpus_quick(files, capsys):
     assert main(["corpus", "--quick"]) == 0
     out = capsys.readouterr().out
