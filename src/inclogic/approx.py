@@ -30,7 +30,7 @@ from .syntax import (
     exists_seq,
     free_vars,
     is_first_order,
-    is_quantifier_free,
+    quantifier_depth,
     substitute_parallel,
 )
 
@@ -272,7 +272,7 @@ def prefix_truth(model: Model, prefix: tuple[tuple[str, str], ...],
     # items: (free variables, variable equality or None, test of an assignment)
     items: list[tuple[frozenset[str], tuple[str, str] | None, Test]] = []
     for c in conjuncts:
-        if not (is_first_order(c) and is_quantifier_free(c)):
+        if not (is_first_order(c) and quantifier_depth(c) == 0):
             raise ApproxError("prefix_truth needs quantifier-free first-order conjuncts")
         if isinstance(c, Equals) and isinstance(c.left, Var) and isinstance(c.right, Var):
             a, b = c.left.name, c.right.name

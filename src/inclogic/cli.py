@@ -30,7 +30,6 @@ from .semantics import EvalError, Guards, GuardExceeded, evaluate, max_subteam
 from .suites import DEFAULT_SEED, run_all
 from .syntax import (
     EMPTY_SIGNATURE,
-    Formula,
     FormulaError,
     Signature,
     free_vars,
@@ -70,11 +69,6 @@ def _formula_text(args) -> str:
 
 def _signature(model: Model | None) -> Signature:
     return model.sig if model is not None else EMPTY_SIGNATURE
-
-
-def _ast_record(f: Formula):
-    from dataclasses import asdict
-    return {"node": type(f).__name__, **asdict(f)}
 
 
 def _guards(args) -> Guards:
@@ -148,6 +142,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FormulaError, ModelError, ScriptError, IndError, EvalError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError:
+        print("error: formula is nested too deeply", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def _dispatch(args, out: Output) -> int:
@@ -164,9 +161,6 @@ def _dispatch(args, out: Output) -> int:
             team = parse_team(handle.read())
         check_team_in_model(team, model)
         f = parse_formula(_formula_text(args), model.sig)
-        missing = free_vars(f) - set(team.domain)
-        if missing:
-            raise EvalError(f"team domain does not cover free variables {sorted(missing)}")
         try:
             verdict = evaluate(model, team, f, engine=args.engine, guards=_guards(args))
         except GuardExceeded as e:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .models import Model, Team
 from .parser import parse_formula
 from .syntax import EMPTY_SIGNATURE, FormulaError, Inclusion
-from .semantics import Guards, eval_naive
+from .semantics import Guards, eval_naive, inclusion_holds
 
 
 class IndError(ValueError):
@@ -92,45 +92,44 @@ def ind_implies(problem: IndProblem, depth: int = 8,
 
 
 def _derive(problem: IndProblem, depth: int) -> tuple[DerivStep, ...] | None:
-    goal = problem.goal
+    goal = (problem.goal.lhs, problem.goal.rhs)
     steps: list[DerivStep] = []
-    index_of: dict[Inclusion, int] = {}
+    # keyed on (lhs, rhs): most derived atoms are duplicates, and an
+    # Inclusion is built only for a recorded step
+    index_of: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
 
-    def add(atom: Inclusion, rule: str, parents: tuple[int, ...],
-            indices: tuple[int, ...] | None = None) -> bool:
-        if atom in index_of:
+    def add(lhs: tuple[str, ...], rhs: tuple[str, ...], rule: str,
+            parents: tuple[int, ...], indices: tuple[int, ...] | None = None) -> bool:
+        if (lhs, rhs) in index_of:
             return False
-        index_of[atom] = len(steps)
-        steps.append(DerivStep(atom, rule, parents, indices))
+        index_of[lhs, rhs] = len(steps)
+        steps.append(DerivStep(Inclusion(lhs, rhs), rule, parents, indices))
         return True
 
-    if goal.lhs == goal.rhs:
-        add(goal, "identity", ())
+    if goal[0] == goal[1]:
+        add(*goal, "identity", ())
         return _extract(steps, index_of[goal])
 
     for atom in problem.gamma:
-        add(atom, "given", ())
+        add(atom.lhs, atom.rhs, "given", ())
 
     width = problem.max_width()
     for _ in range(depth):
         changed = False
         frontier = list(index_of.items())
         # projection and permutation, with repeated positions allowed
-        for atom, i in frontier:
-            n = len(atom.lhs)
+        for (lhs, rhs), i in frontier:
+            n = len(lhs)
             for k in range(1, width + 1):
                 for picks in itertools.product(range(n), repeat=k):
-                    derived = Inclusion(
-                        tuple(atom.lhs[p] for p in picks),
-                        tuple(atom.rhs[p] for p in picks),
-                    )
-                    changed |= add(derived, "project", (i,), picks)
-        by_lhs: dict[tuple[str, ...], list[tuple[Inclusion, int]]] = {}
-        for atom, i in list(index_of.items()):
-            by_lhs.setdefault(atom.lhs, []).append((atom, i))
-        for atom, i in list(index_of.items()):
-            for other, j in by_lhs.get(atom.rhs, []):
-                changed |= add(Inclusion(atom.lhs, other.rhs), "transitive", (i, j))
+                    changed |= add(tuple(lhs[p] for p in picks),
+                                   tuple(rhs[p] for p in picks), "project", (i,), picks)
+        by_lhs: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = {}
+        for (lhs, rhs), i in list(index_of.items()):
+            by_lhs.setdefault(lhs, []).append((rhs, i))
+        for (lhs, rhs), i in list(index_of.items()):
+            for other_rhs, j in by_lhs.get(rhs, []):
+                changed |= add(lhs, other_rhs, "transitive", (i, j))
         if goal in index_of:
             return _extract(steps, index_of[goal])
         if not changed:
@@ -202,12 +201,6 @@ def _universe_model(size: int) -> Model:
     return Model(EMPTY_SIGNATURE, tuple(str(i) for i in range(max(size, 2))), {}, {}, {})
 
 
-def _team_satisfies(rows: tuple[tuple[str, ...], ...], atom_idx) -> bool:
-    lpos, rpos = atom_idx
-    rvalues = {tuple(row[i] for i in rpos) for row in rows}
-    return all(tuple(row[i] for i in lpos) in rvalues for row in rows)
-
-
 def find_counterexample(problem: IndProblem, max_rows: int, max_elems: int,
                         seed: int = 2007, exhaustive_limit: int = 400_000,
                         samples: int = 50_000) -> Team | None:
@@ -231,12 +224,10 @@ def find_counterexample(problem: IndProblem, max_rows: int, max_elems: int,
     goal_idx = atom_positions(problem.goal)
 
     def is_counterexample(rows: tuple[tuple[str, ...], ...]) -> bool:
-        return all(_team_satisfies(rows, idx) for idx in gamma_idx) and \
-            not _team_satisfies(rows, goal_idx)
+        return all(inclusion_holds(rows, *idx) for idx in gamma_idx) and \
+            not inclusion_holds(rows, *goal_idx)
 
-    total = sum(
-        _ncr(len(assignments), r) for r in range(1, max_rows + 1)
-    )
+    total = sum(math.comb(len(assignments), r) for r in range(1, max_rows + 1))
     found: tuple[tuple[str, ...], ...] | None = None
     if total <= exhaustive_limit:
         for r in range(1, max_rows + 1):
@@ -275,7 +266,3 @@ def replay_counterexample(problem: IndProblem, team: Team,
     guards = Guards(max_rows=max(len(team), 8), max_universe=max(size, 4))
     ok = all(eval_naive(model, team, a, guards) for a in problem.gamma)
     return ok and not eval_naive(model, team, problem.goal, guards)
-
-
-def _ncr(n: int, r: int) -> int:
-    return math.comb(n, r)

@@ -70,19 +70,12 @@ class Team:
 
     Rows are tuples of element ids aligned with the sorted domain.
     ``Team((), frozenset({()}))`` is the singleton team with empty domain.
+    The constructor does not check this; ``check_team`` does, once, where a
+    team enters the package.
     """
 
     domain: tuple[str, ...]
     rows: frozenset[tuple[str, ...]]
-
-    def __post_init__(self):
-        if tuple(sorted(self.domain)) != self.domain:
-            raise ModelError("team domain must be sorted")
-        if len(set(self.domain)) != len(self.domain):
-            raise ModelError("duplicate variables in team domain")
-        for row in self.rows:
-            if len(row) != len(self.domain):
-                raise ModelError("team row length does not match domain")
 
     @staticmethod
     def from_assignments(assignments: Iterable[Mapping[str, str]],
@@ -97,7 +90,7 @@ class Team:
             rows.append(tuple(s[v] for v in dom))
         if dom is None:
             raise ModelError("cannot infer a domain from no assignments")
-        return Team(dom, frozenset(rows))
+        return check_team(Team(dom, frozenset(rows)))
 
     def assignments(self) -> Iterator[dict[str, str]]:
         for row in sorted(self.rows):
@@ -121,6 +114,16 @@ class Team:
 
 
 SINGLETON_EMPTY_DOMAIN = Team((), frozenset({()}))
+
+
+def check_team(team: Team) -> Team:
+    """Return ``team`` if its domain is sorted without repeats and every row
+    matches the domain; raise ModelError otherwise."""
+    if tuple(sorted(set(team.domain))) != team.domain:
+        raise ModelError("team domain must be sorted, without repeated variables")
+    if any(len(row) != len(team.domain) for row in team.rows):
+        raise ModelError("team row length does not match domain")
+    return team
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +243,7 @@ def parse_team(text: str) -> Team:
             raise ModelError(f"team row {row!r} does not match header")
         body.append({v: cell.strip() for v, cell in zip(header, row)})
     if not body:
-        return Team(tuple(sorted(header)), frozenset())
+        return check_team(Team(tuple(sorted(header)), frozenset()))
     return Team.from_assignments(body, domain=header)
 
 

@@ -34,7 +34,7 @@ from .syntax import (
     fresh_name,
     fresh_names,
     is_first_order,
-    is_quantifier_free,
+    quantifier_depth,
     rename_bound,
 )
 
@@ -57,7 +57,7 @@ class PrenexForm:
         names = [v for _, v in self.prefix]
         if len(set(names)) != len(names):
             raise NormalFormError("prenex prefix variables must be pairwise distinct")
-        if not is_quantifier_free(self.matrix):
+        if quantifier_depth(self.matrix):
             raise NormalFormError("prenex matrix must be quantifier free")
 
     def to_formula(self) -> Formula:
@@ -80,7 +80,7 @@ class QfNormal:
         for u, v in self.atoms:
             if not set(u) | set(v) <= wset:
                 raise NormalFormError("atom variables must come from the witness block")
-        if not (is_first_order(self.alpha) and is_quantifier_free(self.alpha)):
+        if not (is_first_order(self.alpha) and quantifier_depth(self.alpha) == 0):
             raise NormalFormError("alpha must be first-order and quantifier free")
 
     def to_formula(self) -> Formula:
@@ -106,7 +106,7 @@ class NormalForm:
         others = set(self.z) | set(self.w) | set(self.x) | set(all_names(self.alpha))
         if self.y in others:
             raise NormalFormError("the universal variable must be fresh")
-        if not (is_first_order(self.alpha) and is_quantifier_free(self.alpha)):
+        if not (is_first_order(self.alpha) and quantifier_depth(self.alpha) == 0):
             raise NormalFormError("alpha must be first-order and quantifier free")
 
 
@@ -178,7 +178,7 @@ def _pull_or(pl: list, ml: Formula, pr: list, mr: Formula,
 
 def qf_normal(theta: Formula, reserved: set[str] | None = None) -> QfNormal:
     """Equivalent ∃w(atoms ∧ alpha) form of a quantifier-free formula."""
-    if not is_quantifier_free(theta):
+    if quantifier_depth(theta):
         raise NormalFormError("qf_normal requires a quantifier-free formula")
     used = set(all_names(theta)) | (reserved or set())
     return _qfn(theta, used)

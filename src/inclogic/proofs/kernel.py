@@ -157,12 +157,6 @@ def _names_of(formulas) -> set[str]:
     return out
 
 
-def _sequent_formulas(premises: Sequence[Sequent]):
-    for p in premises:
-        yield from p.context
-        yield p.conclusion
-
-
 def _union(*contexts: frozenset[Formula]) -> frozenset[Formula]:
     out: frozenset[Formula] = frozenset()
     for c in contexts:

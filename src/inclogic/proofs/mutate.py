@@ -24,11 +24,6 @@ class Mutant:
 _RULE_NAMES = sorted(RULES)
 
 
-def _swap_rule(name: str, offset: int) -> str:
-    i = _RULE_NAMES.index(name)
-    return _RULE_NAMES[(i + offset) % len(_RULE_NAMES)]
-
-
 def mutants(script: ProofScript, per_step: int = 4) -> Iterator[Mutant]:
     for idx, step in enumerate(script.steps):
         if step.rule is None:
@@ -58,21 +53,8 @@ def _step_mutations(step: Step) -> Iterator[tuple[Step, str]]:
             f"rule {rule.rule} -> {name}",
         )
     for key in sorted(rule.params):
-        value = rule.params[key]
-        if isinstance(value, int):
-            mutated_value: object = value + 1
-        elif isinstance(value, str):
-            mutated_value = value + "_mut"
-        elif isinstance(value, tuple) and value and isinstance(value[0], str):
-            mutated_value = (value[0] + "_mut",) + value[1:]
-        elif isinstance(value, Var):
-            mutated_value = Var(value.name + "_mut")
-        elif value == Bottom():
-            mutated_value = Not(Bottom())
-        else:
-            mutated_value = Bottom()
         params = dict(rule.params)
-        params[key] = mutated_value
+        params[key] = _perturb(rule.params[key])
         yield (
             Step(step.step_id, step.sequent, RuleApp(rule.rule, params),
                  step.premises, step.lineno),
@@ -84,3 +66,18 @@ def _step_mutations(step: Step) -> Iterator[tuple[Step, str]]:
             Step(step.step_id, step.sequent, rule, swapped, step.lineno),
             "premise order swapped",
         )
+
+
+def _perturb(value: object) -> object:
+    """A different value of the same kind, so the mutant still prints."""
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "_mut"
+    if isinstance(value, tuple) and value:
+        return (_perturb(value[0]),) + value[1:]
+    if isinstance(value, Var):
+        return Var(value.name + "_mut")
+    if value == Bottom():
+        return Not(Bottom())
+    return Bottom()

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
-from .models import Model, Team
+from .models import Model, Team, check_team
 from .syntax import (
     And,
     Bottom,
@@ -151,7 +151,8 @@ def _extend_row(row: tuple[str, ...], at: int, replaced: bool, value: str) -> tu
     return row[:at] + (value,) + row[at:]
 
 
-def _check_free_vars(team: Team, f: Formula):
+def _check_input(team: Team, f: Formula):
+    check_team(team)
     missing = free_vars(f) - set(team.domain)
     if missing:
         raise EvalError(f"team domain does not cover free variables {sorted(missing)}")
@@ -161,13 +162,21 @@ def _positions(domain: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ..
     return tuple(domain.index(v) for v in names)
 
 
+def inclusion_holds(rows: Collection[tuple[str, ...]], lpos: tuple[int, ...],
+                    rpos: tuple[int, ...]) -> bool:
+    """The inclusion atom's clause on raw rows: every row's values at
+    ``lpos`` are some row's values at ``rpos``."""
+    rvalues = {tuple(row[i] for i in rpos) for row in rows}
+    return all(tuple(row[i] for i in lpos) in rvalues for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # Naive (literal) engine
 
 def eval_naive(model: Model, team: Team, f: Formula,
                guards: Guards = DEFAULT_GUARDS, fo_flat: bool = True) -> bool:
     """Literal evaluation of the satisfaction definition, with guards."""
-    _check_free_vars(team, f)
+    _check_input(team, f)
     if len(team) > guards.max_rows:
         raise GuardExceeded(f"team has {len(team)} rows > guard {guards.max_rows}")
     if len(model.universe) > guards.max_universe:
@@ -219,7 +228,9 @@ class _NaiveState:
                 not _fo(model, dict(zip(team.domain, row)), f.body) for row in team.rows
             )
         if isinstance(f, Inclusion):
-            return self._inclusion(f, team)
+            self.tick(len(team))
+            return inclusion_holds(team.rows, _positions(team.domain, f.lhs),
+                                   _positions(team.domain, f.rhs))
         if isinstance(f, And):
             return self.eval(f.left, team) and self.eval(f.right, team)
         if isinstance(f, Or):
@@ -229,13 +240,6 @@ class _NaiveState:
         if isinstance(f, Forall):
             return self.eval(f.body, duplicate(team, f.var, model))
         raise EvalError(f"cannot evaluate {f!r}")
-
-    def _inclusion(self, f: Inclusion, team: Team) -> bool:
-        lpos = _positions(team.domain, f.lhs)
-        rpos = _positions(team.domain, f.rhs)
-        self.tick(len(team))
-        rvalues = {tuple(row[i] for i in rpos) for row in team.rows}
-        return all(tuple(row[i] for i in lpos) in rvalues for row in team.rows)
 
     def _disjunction(self, f: Or, team: Team) -> bool:
         rows = sorted(team.rows)
@@ -338,12 +342,17 @@ def max_subteam(model: Model, team: Team, f: Formula) -> Team:
     unions of satisfying teams; computed by clause-wise greatest-fixpoint
     iteration.
     """
-    _check_free_vars(team, f)
+    _check_input(team, f)
     return _MaxState(model).max(f, team)
 
 
 def eval_fast(model: Model, team: Team, f: Formula) -> bool:
-    """Satisfaction via the maximal-subteam engine."""
+    """Satisfaction via the maximal-subteam engine; a bare inclusion atom
+    needs no subteam and takes the atom's clause directly."""
+    if isinstance(f, Inclusion):
+        _check_input(team, f)
+        return inclusion_holds(team.rows, _positions(team.domain, f.lhs),
+                               _positions(team.domain, f.rhs))
     return max_subteam(model, team, f).rows == team.rows
 
 

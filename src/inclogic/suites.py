@@ -433,16 +433,6 @@ def suite_proof_corpus(min_scripts: int = 15, min_mutants: int = 100) -> SuiteRe
 # ---------------------------------------------------------------------------
 # Criterion 7: no countermodels for corpus conclusions
 
-def _satisfies(model: Model, team: Team, f: Formula) -> bool:
-    if isinstance(f, Inclusion):
-        dom = team.domain
-        lpos = tuple(dom.index(v) for v in f.lhs)
-        rpos = tuple(dom.index(v) for v in f.rhs)
-        rvalues = {tuple(r[i] for i in rpos) for r in team.rows}
-        return all(tuple(r[i] for i in lpos) in rvalues for r in team.rows)
-    return eval_fast(model, team, f)
-
-
 def _all_models(sig: Signature, size: int) -> list[Model]:
     elems = tuple(str(i) for i in range(size))
     rel_options = []
@@ -485,8 +475,8 @@ def suite_corpus_soundness(max_rows: int = 4) -> SuiteResult:
                         for rows in itertools.combinations(assignments, r))
             for rows in teams:
                 team = Team(dom, rows)
-                if all(_satisfies(model, team, g) for g in claim.context) and \
-                        not _satisfies(model, team, claim.conclusion):
+                if all(eval_fast(model, team, g) for g in claim.context) and \
+                        not eval_fast(model, team, claim.conclusion):
                     countermodel = True
                     break
             if countermodel:

@@ -9,8 +9,7 @@ inclusion, anonymity atoms, weak classical negation) is eliminated by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -126,57 +125,116 @@ def subst_term(t: Term, mapping: Mapping[str, Term]) -> Term:
 # Formulas
 
 @dataclass(frozen=True)
-class Bottom:
+class _Node:
+    """A formula node's hash, free variables, first-order flag and quantifier
+    depth, computed once at construction from its children's stored values,
+    so reading them never walks the tree."""
+
+    _hash: int = field(init=False, repr=False, compare=False)
+    _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
+    _first_order: bool = field(init=False, repr=False, compare=False)
+    _depth: int = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _set_meta(self, key: tuple, free: frozenset[str], first_order: bool,
+                  depth: int) -> None:
+        # ``key`` holds the compared fields, so equal nodes hash alike
+        self.__dict__.update(_hash=hash(key), _free_vars=free,
+                             _first_order=first_order, _depth=depth)
+
+
+def _node(cls):
+    """Make ``cls`` a frozen dataclass that keeps the stored hash, in place of
+    the generated one that would hash the fields, and so the whole tree."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = _Node.__hash__
+    return cls
+
+
+@_node
+class Bottom(_Node):
+    def __post_init__(self):
+        self._set_meta((), frozenset(), True, 0)
+
+
+@_node
+class Equals(_Node):
+    left: Term
+    right: Term
+
+    def __post_init__(self):
+        free = term_vars(self.left) | term_vars(self.right)
+        self._set_meta((self.left, self.right), free, True, 0)
+
+
+@_node
+class Relation(_Node):
+    name: str
+    args: tuple[Term, ...]
+
+    def __post_init__(self):
+        free = frozenset().union(*map(term_vars, self.args))
+        self._set_meta((self.name, self.args), free, True, 0)
+
+
+@_node
+class Not(_Node):
+    body: "Formula"
+
+    def __post_init__(self):
+        body = self.body
+        if not body._first_order:
+            raise FormulaError("negation applies to first-order formulas only")
+        self._set_meta((body,), body._free_vars, True, body._depth)
+
+
+@dataclass(frozen=True)
+class _Binary(_Node):
+    left: "Formula"
+    right: "Formula"
+
+    def __post_init__(self):
+        left, right = self.left, self.right
+        self._set_meta((left, right), left._free_vars | right._free_vars,
+                       left._first_order and right._first_order,
+                       max(left._depth, right._depth))
+
+
+@_node
+class And(_Binary):
+    pass
+
+
+@_node
+class Or(_Binary):
     pass
 
 
 @dataclass(frozen=True)
-class Equals:
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Relation:
-    name: str
-    args: tuple[Term, ...]
-
-
-@dataclass(frozen=True)
-class Not:
+class _Quantifier(_Node):
+    var: str
     body: "Formula"
 
     def __post_init__(self):
-        if not is_first_order(self.body):
-            raise FormulaError("negation applies to first-order formulas only")
+        body = self.body
+        self._set_meta((self.var, body), body._free_vars - {self.var},
+                       body._first_order, body._depth + 1)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+@_node
+class Exists(_Quantifier):
+    pass
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+@_node
+class Forall(_Quantifier):
+    pass
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class Inclusion:
+@_node
+class Inclusion(_Node):
     lhs: tuple[str, ...]
     rhs: tuple[str, ...]
 
@@ -185,99 +243,53 @@ class Inclusion:
             raise FormulaError("inclusion atom sides must have equal length")
         if not self.lhs:
             raise FormulaError("inclusion atom sides must be nonempty")
+        self._set_meta((self.lhs, self.rhs), frozenset(self.lhs + self.rhs), False, 0)
 
 
 Formula = Union[Bottom, Equals, Relation, Not, And, Or, Exists, Forall, Inclusion]
 
 
-@lru_cache(maxsize=None)
 def is_first_order(f: Formula) -> bool:
-    if isinstance(f, (Bottom, Equals, Relation)):
-        return True
-    if isinstance(f, Inclusion):
-        return False
-    if isinstance(f, Not):
-        return is_first_order(f.body)
-    if isinstance(f, (And, Or)):
-        return is_first_order(f.left) and is_first_order(f.right)
-    return is_first_order(f.body)
+    return f._first_order
+
+
+def free_vars(f: Formula) -> frozenset[str]:
+    return f._free_vars
+
+
+def quantifier_depth(f: Formula) -> int:
+    return f._depth
 
 
 TRUE: Formula = Not(Bottom())
 
 
-@lru_cache(maxsize=None)
-def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (Exists, Forall)):
-        return False
-    if isinstance(f, (Bottom, Equals, Relation, Inclusion)):
-        return True
-    if isinstance(f, Not):
-        return is_quantifier_free(f.body)
-    return is_quantifier_free(f.left) and is_quantifier_free(f.right)
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every subformula occurrence, parents before children, left to right."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, (Not, Exists, Forall)):
+            stack.append(g.body)
+        elif isinstance(g, (And, Or)):
+            stack += (g.right, g.left)
 
 
-@lru_cache(maxsize=None)
-def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Bottom):
-        return frozenset()
-    if isinstance(f, Equals):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, Relation):
-        out: frozenset[str] = frozenset()
-        for a in f.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(f, Inclusion):
-        return frozenset(f.lhs) | frozenset(f.rhs)
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or)):
-        return free_vars(f.left) | free_vars(f.right)
-    return free_vars(f.body) - {f.var}
-
-
-@lru_cache(maxsize=None)
 def all_names(f: Formula) -> frozenset[str]:
     """Every identifier occurring in the formula, free or bound."""
-    if isinstance(f, Bottom):
-        return frozenset()
-    if isinstance(f, Equals):
-        return term_names(f.left) | term_names(f.right)
-    if isinstance(f, Relation):
-        out = frozenset((f.name,))
-        for a in f.args:
-            out |= term_names(a)
-        return out
-    if isinstance(f, Inclusion):
-        return frozenset(f.lhs) | frozenset(f.rhs)
-    if isinstance(f, Not):
-        return all_names(f.body)
-    if isinstance(f, (And, Or)):
-        return all_names(f.left) | all_names(f.right)
-    return all_names(f.body) | {f.var}
-
-
-@lru_cache(maxsize=None)
-def quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (Bottom, Equals, Relation, Inclusion)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_depth(f.body)
-    if isinstance(f, (And, Or)):
-        return max(quantifier_depth(f.left), quantifier_depth(f.right))
-    return 1 + quantifier_depth(f.body)
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.body)
-    elif isinstance(f, (And, Or)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Exists, Forall)):
-        yield from subformulas(f.body)
+    out: set[str] = set()
+    for g in subformulas(f):
+        if isinstance(g, Equals):
+            out |= term_names(g.left) | term_names(g.right)
+        elif isinstance(g, Relation):
+            out.add(g.name)
+            out.update(*map(term_names, g.args))
+        elif isinstance(g, Inclusion):
+            out.update(g.lhs, g.rhs)
+        elif isinstance(g, (Exists, Forall)):
+            out.add(g.var)
+    return frozenset(out)
 
 
 def conj(parts: Iterable[Formula]) -> Formula:
@@ -375,17 +387,14 @@ def _subst(f: Formula, mapping: Mapping[str, Term]) -> Formula:
         return Inclusion(_subst_varseq(f.lhs, mapping), _subst_varseq(f.rhs, mapping))
     if isinstance(f, Not):
         return Not(_subst(f.body, mapping))
-    if isinstance(f, And):
-        return And(_subst(f.left, mapping), _subst(f.right, mapping))
-    if isinstance(f, Or):
-        return Or(_subst(f.left, mapping), _subst(f.right, mapping))
+    if isinstance(f, (And, Or)):
+        return type(f)(_subst(f.left, mapping), _subst(f.right, mapping))
     if isinstance(f, (Exists, Forall)):
         inner = {v: t for v, t in mapping.items() if v != f.var}
         for v, t in inner.items():
             if f.var in term_vars(t):
                 raise CaptureError(f.var, v)
-        body = _subst(f.body, inner)
-        return Exists(f.var, body) if isinstance(f, Exists) else Forall(f.var, body)
+        return type(f)(f.var, _subst(f.body, inner))
     raise FormulaError(f"cannot substitute in {f!r}")
 
 
@@ -429,15 +438,12 @@ def _rename(f: Formula, ren: Mapping[str, str], used: set[str]) -> Formula:
         )
     if isinstance(f, Not):
         return Not(_rename(f.body, ren, used))
-    if isinstance(f, And):
-        return And(_rename(f.left, ren, used), _rename(f.right, ren, used))
-    if isinstance(f, Or):
-        return Or(_rename(f.left, ren, used), _rename(f.right, ren, used))
+    if isinstance(f, (And, Or)):
+        return type(f)(_rename(f.left, ren, used), _rename(f.right, ren, used))
     if isinstance(f, (Exists, Forall)):
         new = fresh_name(f.var, used)
         used.add(new)
-        body = _rename(f.body, {**ren, f.var: new}, used)
-        return Exists(new, body) if isinstance(f, Exists) else Forall(new, body)
+        return type(f)(new, _rename(f.body, {**ren, f.var: new}, used))
     raise FormulaError(f"cannot rename in {f!r}")
 
 
@@ -476,29 +482,39 @@ def _alpha(a: Formula, b: Formula, ra: Mapping[str, str], rb: Mapping[str, str])
 # ---------------------------------------------------------------------------
 # Sugar
 
-@dataclass(frozen=True)
-class TermInclusion:
+# Sugar forms carry the same metadata as kernel nodes, read off the form as
+# written; none of them counts as first-order.
+
+@_node
+class TermInclusion(_Node):
     lhs: tuple[Term, ...]
     rhs: tuple[Term, ...]
 
     def __post_init__(self):
         if len(self.lhs) != len(self.rhs) or not self.lhs:
             raise FormulaError("term inclusion sides must be nonempty and equal length")
+        free = frozenset().union(*map(term_vars, self.lhs + self.rhs))
+        self._set_meta((self.lhs, self.rhs), free, False, 0)
 
 
-@dataclass(frozen=True)
-class Anonymity:
+@_node
+class Anonymity(_Node):
     lhs: tuple[str, ...]
     rhs: tuple[str, ...]
 
+    def __post_init__(self):
+        self._set_meta((self.lhs, self.rhs), frozenset(self.lhs + self.rhs), False, 0)
 
-@dataclass(frozen=True)
-class WeakNeg:
+
+@_node
+class WeakNeg(_Node):
     body: Formula
 
     def __post_init__(self):
-        if not is_first_order(self.body):
+        body = self.body
+        if not body._first_order:
             raise FormulaError("weak negation applies to first-order formulas only")
+        self._set_meta((body,), body._free_vars, False, body._depth)
 
 
 SugarForm = Union[TermInclusion, Anonymity, WeakNeg]
@@ -561,7 +577,6 @@ def weak_neg_of(body: Formula) -> Formula:
 _PREC_OR = 1
 _PREC_AND = 2
 _PREC_NOT = 3
-_PREC_ATOM = 4
 
 
 def pretty_term(t: Term) -> str:

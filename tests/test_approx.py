@@ -16,7 +16,7 @@ from inclogic.normalform import normal_form
 from inclogic.parser import parse_formula
 from inclogic.semantics import GuardExceeded, _fo, eval_fast
 from inclogic.suites import DEFAULT_SEED, SUITE_SIG, gen_model, gen_sentence
-from inclogic.syntax import free_vars, is_first_order, is_quantifier_free, pretty
+from inclogic.syntax import free_vars, is_first_order, pretty, quantifier_depth
 
 M2 = parse_model("""
 universe: a b
@@ -39,7 +39,7 @@ def _dfs_prefix_truth(model, prefix, conjuncts, max_nodes=4_000_000):
     triggers = [[] for _ in prefix]
     ground = []
     for c in conjuncts:
-        if not (is_first_order(c) and is_quantifier_free(c)):
+        if not (is_first_order(c) and quantifier_depth(c) == 0):
             raise ApproxError("prefix_truth needs quantifier-free first-order conjuncts")
         fv = free_vars(c)
         if not fv:

@@ -125,6 +125,23 @@ def test_approx_independent_subgames(files, capsys):
     assert "level 2: true" in out and "approx-stable" in out
 
 
+def test_eval_long_conjunction(files, capsys):
+    team = files["tmp"] / "x.team"
+    team.write_text("x\n0\n1\n")
+    code = main(["eval", "--model", files["cycle"], "--team", str(team),
+                 "--formula", " & ".join(["x = x"] * 600)])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
+def test_deep_nesting_is_an_error(capsys):
+    code = main(["parse", "--formula", "(" * 1200 + "bot" + ")" * 1200])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "nested too deeply" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_corpus_quick(files, capsys):
     assert main(["corpus", "--quick"]) == 0
     out = capsys.readouterr().out

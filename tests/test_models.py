@@ -9,6 +9,8 @@ from inclogic.models import (
     parse_model,
     parse_team,
 )
+from inclogic.parser import parse_formula
+from inclogic.semantics import eval_fast, eval_naive, max_subteam
 MODEL_TEXT = """\
 # a small ordered structure
 universe: a b c
@@ -76,3 +78,21 @@ def test_restrict_and_union():
     assert team.restrict(("y",)).rows == frozenset({("1",)})
     other = parse_team("x,y\n0,0\n")
     assert len(team.union(other)) == 3
+
+
+@pytest.mark.parametrize("team", [
+    Team(("y", "x"), frozenset({("0", "1")})),      # unsorted domain
+    Team(("x", "x"), frozenset({("0", "1")})),      # repeated variable
+    Team(("x", "y"), frozenset({("0",)})),          # short row
+])
+def test_engines_check_the_team(team):
+    model = parse_model("universe: 0 1")
+    f = parse_formula("x <= y", model.sig)
+    for engine in (eval_fast, eval_naive, max_subteam):
+        with pytest.raises(ModelError):
+            engine(model, team, f)
+
+
+def test_duplicate_domain_rejected():
+    with pytest.raises(ModelError):
+        Team.from_assignments([{"x": "0"}], domain=["x", "x"])

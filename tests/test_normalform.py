@@ -20,8 +20,8 @@ from inclogic.syntax import (
     Inclusion,
     free_vars,
     is_first_order,
-    is_quantifier_free,
     pretty,
+    quantifier_depth,
 )
 
 
@@ -74,7 +74,7 @@ class TestQfNormal:
         assert (("w", "p", "q"), ("u1", "p", "q")) in q.atoms or \
             any(set(a[0][-2:]) == {"p", "q"} for a in q.atoms)
         assert "p" in q.w and "q" in q.w and "p1" in q.w and "q1" in q.w
-        assert is_first_order(q.alpha) and is_quantifier_free(q.alpha)
+        assert is_first_order(q.alpha) and quantifier_depth(q.alpha) == 0
 
     def test_rejects_quantifiers(self):
         with pytest.raises(NormalFormError):
@@ -125,7 +125,7 @@ class TestNormalForm:
             # exactly one universal quantifier, innermost, fresh variable
             seen_forall = [s for s in _walk(rendered) if isinstance(s, Forall)]
             assert len(seen_forall) == 1 and seen_forall[0].var == nf.y
-            assert is_quantifier_free(nf.alpha) and is_first_order(nf.alpha)
+            assert quantifier_depth(nf.alpha) == 0 and is_first_order(nf.alpha)
             wset = set(nf.w)
             for u, v in nf.i_atoms:
                 assert set(u) | set(v) <= wset

@@ -158,6 +158,10 @@ class TestCorpus:
                 total += 1
                 assert not check_script(mutant.script).accepted, \
                     f"{name}: {mutant.description}"
+                # every mutant prints, and its printed form is still rejected
+                again = parse_script(format_script(mutant.script), script.sig)
+                assert not check_script(again).accepted, \
+                    f"{name}: printed {mutant.description}"
         assert total >= 100
 
 

@@ -1,9 +1,14 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inclogic.models import parse_model, parse_team
+from inclogic.normalform import normal_form
 from inclogic.parser import ParseError, parse_formula
+from inclogic.semantics import eval_fast, eval_naive
 from inclogic.suites import SUITE_SIG, gen_formula
 from inclogic.syntax import (
     And,
@@ -27,10 +32,13 @@ from inclogic.syntax import (
     alpha_equivalent,
     desugar,
     free_vars,
+    is_first_order,
     pretty,
+    quantifier_depth,
     rename_bound,
     subformulas,
     substitute,
+    term_vars,
 )
 
 SIG = SUITE_SIG
@@ -101,6 +109,59 @@ class TestFreeVars:
 
     def test_bottom(self):
         assert free_vars(Bottom()) == frozenset()
+
+
+def _walk_metadata(f):
+    """Free variables, first-order flag and quantifier depth by a recursive
+    walk: the reference for the values a node stores."""
+    if isinstance(f, Bottom):
+        return frozenset(), True, 0
+    if isinstance(f, (Equals, Relation)):
+        terms = (f.left, f.right) if isinstance(f, Equals) else f.args
+        return frozenset().union(*map(term_vars, terms)), True, 0
+    if isinstance(f, Inclusion):
+        return frozenset(f.lhs + f.rhs), False, 0
+    if isinstance(f, Not):
+        return _walk_metadata(f.body)
+    if isinstance(f, (And, Or)):
+        (fv_l, fo_l, d_l), (fv_r, fo_r, d_r) = _walk_metadata(f.left), _walk_metadata(f.right)
+        return fv_l | fv_r, fo_l and fo_r, max(d_l, d_r)
+    fv, fo, d = _walk_metadata(f.body)
+    return fv - {f.var}, fo, d + 1
+
+
+class TestNodeMetadata:
+    def test_matches_a_recursive_walk(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            f = gen_formula(rng, ("x", "y", "z"), rng.randint(1, 12))
+            assert (free_vars(f), is_first_order(f), quantifier_depth(f)) == _walk_metadata(f)
+            a, b = parse(pretty(f)), parse(pretty(f))
+            assert a == b and a is not b and hash(a) == hash(b)
+
+    def test_repr_and_equality_ignore_metadata(self):
+        f = parse("E x. x <= y")
+        assert repr(f) == "Exists(var='x', body=Inclusion(lhs=('x',), rhs=('y',)))"
+        assert f != parse("E x. y <= x")
+
+    def test_deep_conjunction(self):
+        f = parse(" & ".join(["x = x"] * 5000))
+        assert hash(f) == hash(parse(" & ".join(["x = x"] * 5000)))
+        assert free_vars(f) == {"x"} and is_first_order(f) and quantifier_depth(f) == 0
+        assert sum(1 for _ in subformulas(f)) == 9999
+
+    def test_formula_freed_once_dropped(self):
+        # no cache anywhere holds a formula after its last user lets go
+        model = parse_model("universe: 0 1\nrelation P/1: (0)\nrelation R/2: (0,1)")
+        team = parse_team("x\n0\n1\n")
+        f = parse("E z. (z <= x & R(x, z)) | P(x)", model.sig)
+        eval_fast(model, team, f)
+        eval_naive(model, team, f)
+        normal_form(f)
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
 
 
 class TestSubstitute:
