@@ -38,6 +38,7 @@ from .models import (
     ModelError,
     SINGLETON_EMPTY_DOMAIN,
     Team,
+    check_team,
     format_model,
     format_team,
     parse_model,

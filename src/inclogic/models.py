@@ -71,7 +71,8 @@ class Team:
     Rows are tuples of element ids aligned with the sorted domain.
     ``Team((), frozenset({()}))`` is the singleton team with empty domain.
     The constructor does not check this; ``check_team`` does, once, where a
-    team enters the package.
+    team enters the package. A team built directly is unchecked, so check it
+    before handing it to ``duplicate``, ``supplement`` or ``restrict``.
     """
 
     domain: tuple[str, ...]

@@ -347,12 +347,7 @@ def max_subteam(model: Model, team: Team, f: Formula) -> Team:
 
 
 def eval_fast(model: Model, team: Team, f: Formula) -> bool:
-    """Satisfaction via the maximal-subteam engine; a bare inclusion atom
-    needs no subteam and takes the atom's clause directly."""
-    if isinstance(f, Inclusion):
-        _check_input(team, f)
-        return inclusion_holds(team.rows, _positions(team.domain, f.lhs),
-                               _positions(team.domain, f.rhs))
+    """Satisfaction via the maximal-subteam engine."""
     return max_subteam(model, team, f).rows == team.rows
 
 

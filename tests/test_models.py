@@ -1,5 +1,6 @@
 import pytest
 
+from inclogic import check_team
 from inclogic.models import (
     ModelError,
     SINGLETON_EMPTY_DOMAIN,
@@ -91,6 +92,8 @@ def test_engines_check_the_team(team):
     for engine in (eval_fast, eval_naive, max_subteam):
         with pytest.raises(ModelError):
             engine(model, team, f)
+    with pytest.raises(ModelError):
+        check_team(team)
 
 
 def test_duplicate_domain_rejected():
