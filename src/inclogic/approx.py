@@ -12,7 +12,7 @@ block, which makes it an inclusion-logic formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from .models import Model
 from .normalform import NormalForm
@@ -62,10 +62,6 @@ class IndexBook:
         return sum(len(self.blocks(m)) for m in range(len(self.levels)))
 
 
-def index_level(index: Index) -> int:
-    return len(index)
-
-
 def encode_index(index: Index) -> str:
     """Stable text encoding; the root is "0", child tags are appended."""
     out = "0"
@@ -98,7 +94,7 @@ def build_indices(nf: NormalForm, n: int, max_blocks: int = 4000) -> IndexBook:
             (xi, eta)
             for xi in nodes
             for eta in range(m)
-            if max(index_level(xi), eta) == m - 1
+            if max(len(xi), eta) == m - 1
         ) if j_range else ()
         u_m = tuple(xi + (("u", eta, j),) for (xi, eta) in a_m for j in j_range)
         levels.append(Level(e_m, u_m, a_m))
@@ -114,10 +110,6 @@ def build_indices(nf: NormalForm, n: int, max_blocks: int = 4000) -> IndexBook:
 class ApproxFormula:
     formula: Formula
     book: IndexBook
-    level: int
-    strong: bool
-    var_map: Mapping[Index, tuple[tuple[str, ...], tuple[str, ...]]]
-    y_vars: tuple[str, ...]
     prefix: tuple[tuple[str, str], ...]
     conjuncts: tuple[Formula, ...]
 
@@ -234,10 +226,6 @@ def build_approx(nf: NormalForm, n: int, strong: bool = False,
     return ApproxFormula(
         formula=formula,
         book=book,
-        level=n,
-        strong=strong,
-        var_map={xi: (w_of[xi], x_of[xi]) for m in range(n + 1) for xi in book.blocks(m)},
-        y_vars=ys,
         prefix=tuple(prefix),
         conjuncts=tuple(split_conjuncts),
     )

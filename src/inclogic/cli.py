@@ -125,10 +125,8 @@ def main(argv: list[str] | None = None) -> int:
     p_imp = sub.add_parser("implies", help="inclusion-dependency implication")
     p_imp.add_argument("--gamma", default="", help="premise atoms, ';'-separated")
     p_imp.add_argument("--phi", required=True, help="goal atom")
-    p_imp.add_argument("--rows", type=int, default=3)
-    p_imp.add_argument("--elems", type=int, default=3)
-    p_imp.add_argument("--depth", type=int, default=8)
-    p_imp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_imp.add_argument("--rows", type=int, default=3, help="counterexample row bound")
+    p_imp.add_argument("--elems", type=int, default=3, help="counterexample element bound")
 
     p_corpus = sub.add_parser("corpus", help="run the proof corpus and property suites")
     p_corpus.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -238,8 +236,7 @@ def _dispatch(args, out: Output) -> int:
 
     if args.command == "implies":
         problem = parse_ind_problem(args.gamma, args.phi)
-        verdict = ind_implies(problem, depth=args.depth, max_rows=args.rows,
-                              max_elems=args.elems, seed=args.seed)
+        verdict = ind_implies(problem, max_rows=args.rows, max_elems=args.elems)
         record = {"verdict": verdict.kind}
         lines = [verdict.kind]
         if verdict.kind == "derivable" and verdict.derivation:
@@ -254,6 +251,10 @@ def _dispatch(args, out: Output) -> int:
             lines.append(format_team(verdict.team).rstrip())
             record["team"] = sorted(verdict.team.rows)
             record["team_domain"] = list(verdict.team.domain)
+        if verdict.kind == "unknown":
+            lines.append(f"no counterexample with at most {args.rows} rows"
+                         f" over {args.elems} elements")
+            record["searched"] = {"rows": args.rows, "elems": args.elems}
         out.emit("\n".join(lines), **record)
         if verdict.kind == "derivable":
             return EXIT_TRUE

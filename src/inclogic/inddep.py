@@ -1,24 +1,26 @@
-"""Implication for inclusion atoms: axiom closure plus counterexample search.
+"""Implication for inclusion atoms: a chain search for derivations and a
+bounded chase for counterexamples.
 
-The three axioms — identity, projection/permutation (index tuples may
-repeat positions), transitivity — never introduce new variables, so the
-closure over the problem's variables at bounded width is finite.  A goal
-outside the closure is attacked by searching small teams that satisfy
-every premise atom and falsify the goal.  Both verdict kinds carry a
-replayable certificate.
+Under identity, projection/permutation (positions may repeat) and
+transitivity, X <= Y is derivable iff a chain X = Z0, ..., Zm = Y of tuples
+of its width has each Zi <= Zi+1 project one premise (Casanova, Fagin and
+Papadimitriou, JCSS 1984); a breadth-first search finds the chain.  Else a
+chase (Maier, Mendelzon and Sagiv, TODS 1979) looks for a counterexample
+with at most ``max_rows`` rows over ``max_elems`` elements and finds one if
+any exists, so ``unknown`` means: not derivable, and no counterexample
+within those bounds.  Both verdict kinds carry a replayable certificate.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import random
+from collections import deque
 from dataclasses import dataclass
 
 from .models import Model, Team
 from .parser import parse_formula
 from .syntax import EMPTY_SIGNATURE, FormulaError, Inclusion
-from .semantics import Guards, eval_naive, inclusion_holds
+from .semantics import Guards, eval_naive
 
 
 class IndError(ValueError):
@@ -31,13 +33,7 @@ class IndProblem:
     goal: Inclusion
 
     def variables(self) -> tuple[str, ...]:
-        out: set[str] = set()
-        for atom in self.gamma + (self.goal,):
-            out |= set(atom.lhs) | set(atom.rhs)
-        return tuple(sorted(out))
-
-    def max_width(self) -> int:
-        return max(len(a.lhs) for a in self.gamma + (self.goal,))
+        return tuple(sorted({v for a in self.gamma + (self.goal,) for v in a.lhs + a.rhs}))
 
 
 @dataclass(frozen=True)
@@ -73,89 +69,69 @@ def parse_ind_problem(gamma_text: str, goal_text: str) -> IndProblem:
     return IndProblem(gamma, goal)
 
 
-# ---------------------------------------------------------------------------
-# Closure under the three axioms
+# The chain search visits at most this many tuples, and the chase tries at
+# most this many rows, else IndError.  Five variables give at most 5^3 = 125
+# tuples of width 3, and the chase's default bounds (3 rows, 3 elements) at
+# most 41 start rows x (1 + 81 + 81^2) = 272,363 rows.
+MAX_NODES = 300_000
 
-def ind_implies(problem: IndProblem, depth: int = 8,
-                max_rows: int = 3, max_elems: int = 3,
-                seed: int = 2007) -> IndVerdict:
-    """Iterative closure of gamma under the axioms, else counterexample search."""
-    if depth < 1:
-        raise IndError("depth bound must be at least 1")
-    derivation = _derive(problem, depth)
+
+# ---------------------------------------------------------------------------
+# Derivations: breadth-first search over chains
+
+def ind_implies(problem: IndProblem, max_rows: int = 3, max_elems: int = 3) -> IndVerdict:
+    """A derivation of the goal, else a counterexample within the bounds."""
+    derivation = _derive(problem)
     if derivation is not None:
         return IndVerdict("derivable", derivation=derivation)
-    team = find_counterexample(problem, max_rows, max_elems, seed=seed)
+    team = find_counterexample(problem, max_rows, max_elems)
     if team is not None:
         return IndVerdict("refuted", team=team)
     return IndVerdict("unknown")
 
 
-def _derive(problem: IndProblem, depth: int) -> tuple[DerivStep, ...] | None:
-    goal = (problem.goal.lhs, problem.goal.rhs)
+def _derive(problem: IndProblem) -> tuple[DerivStep, ...] | None:
+    start, target = problem.goal.lhs, problem.goal.rhs
+    if start == target:
+        return (DerivStep(problem.goal, "identity", ()),)
+    # tuple -> (previous tuple, premise index, picked premise positions)
+    parent: dict[tuple[str, ...], tuple | None] = {start: None}
+    queue = deque([start])
+    while queue and target not in parent:
+        z = queue.popleft()
+        for k, atom in enumerate(problem.gamma):
+            # each coordinate of z may be matched at any premise position;
+            # one position per reachable value is enough
+            options = [list({atom.rhs[j]: j for j, v in enumerate(atom.lhs) if v == x}.values())
+                       for x in z]
+            for picks in itertools.product(*options):
+                nxt = tuple(atom.rhs[j] for j in picks)
+                if nxt not in parent:
+                    if len(parent) >= MAX_NODES:
+                        raise IndError(f"chain search exceeded {MAX_NODES} tuples")
+                    parent[nxt] = (z, k, picks)
+                    queue.append(nxt)
+    if target not in parent:
+        return None
+    links = []
+    z = target
+    while parent[z] is not None:
+        links.append((parent[z], z))
+        z = parent[z][0]
+    # each link projects a premise, and transitivity joins the links
     steps: list[DerivStep] = []
-    # keyed on (lhs, rhs): most derived atoms are duplicates, and an
-    # Inclusion is built only for a recorded step
-    index_of: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
-
-    def add(lhs: tuple[str, ...], rhs: tuple[str, ...], rule: str,
-            parents: tuple[int, ...], indices: tuple[int, ...] | None = None) -> bool:
-        if (lhs, rhs) in index_of:
-            return False
-        index_of[lhs, rhs] = len(steps)
-        steps.append(DerivStep(Inclusion(lhs, rhs), rule, parents, indices))
-        return True
-
-    if goal[0] == goal[1]:
-        add(*goal, "identity", ())
-        return _extract(steps, index_of[goal])
-
-    for atom in problem.gamma:
-        add(atom.lhs, atom.rhs, "given", ())
-
-    width = problem.max_width()
-    for _ in range(depth):
-        changed = False
-        frontier = list(index_of.items())
-        # projection and permutation, with repeated positions allowed
-        for (lhs, rhs), i in frontier:
-            n = len(lhs)
-            for k in range(1, width + 1):
-                for picks in itertools.product(range(n), repeat=k):
-                    changed |= add(tuple(lhs[p] for p in picks),
-                                   tuple(rhs[p] for p in picks), "project", (i,), picks)
-        by_lhs: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = {}
-        for (lhs, rhs), i in list(index_of.items()):
-            by_lhs.setdefault(lhs, []).append((rhs, i))
-        for (lhs, rhs), i in list(index_of.items()):
-            for other_rhs, j in by_lhs.get(rhs, []):
-                changed |= add(lhs, other_rhs, "transitive", (i, j))
-        if goal in index_of:
-            return _extract(steps, index_of[goal])
-        if not changed:
-            break
-    if goal in index_of:
-        return _extract(steps, index_of[goal])
-    return None
+    for (prev, k, picks), z in reversed(links):
+        atom = problem.gamma[k]
+        steps.append(DerivStep(atom, "given", ()))
+        if (prev, z) != (atom.lhs, atom.rhs):
+            steps.append(DerivStep(Inclusion(prev, z), "project", (len(steps) - 1,), picks))
+        if prev != start:  # join to the step proving start <= prev
+            steps.append(DerivStep(Inclusion(start, z), "transitive", (proved, len(steps) - 1)))
+        proved = len(steps) - 1
+    return tuple(steps)
 
 
-def _extract(steps: list[DerivStep], target: int) -> tuple[DerivStep, ...]:
-    """Trim the closure record to the steps the target depends on."""
-    needed: set[int] = set()
-    stack = [target]
-    while stack:
-        i = stack.pop()
-        if i in needed:
-            continue
-        needed.add(i)
-        stack.extend(steps[i].parents)
-    order = sorted(needed)
-    renumber = {old: new for new, old in enumerate(order)}
-    return tuple(
-        DerivStep(steps[i].atom, steps[i].rule,
-                  tuple(renumber[p] for p in steps[i].parents), steps[i].indices)
-        for i in order
-    )
+_ARITY = {"given": 0, "identity": 0, "project": 1, "transitive": 2}
 
 
 def replay_derivation(problem: IndProblem, derivation: tuple[DerivStep, ...]) -> bool:
@@ -163,7 +139,9 @@ def replay_derivation(problem: IndProblem, derivation: tuple[DerivStep, ...]) ->
     if not derivation:
         return False
     for i, step in enumerate(derivation):
-        if any(p >= i for p in step.parents):
+        # each rule's parent count; a parent must be an earlier step
+        if len(step.parents) != _ARITY.get(step.rule) or \
+                any(not 0 <= p < i for p in step.parents):
             return False
         if step.rule == "given":
             if step.atom not in problem.gamma:
@@ -189,80 +167,95 @@ def replay_derivation(problem: IndProblem, derivation: tuple[DerivStep, ...]) ->
             a, b = (derivation[p].atom for p in step.parents)
             if a.rhs != b.lhs or Inclusion(a.lhs, b.rhs) != step.atom:
                 return False
-        else:
-            return False
     return derivation[-1].atom == problem.goal
 
 
 # ---------------------------------------------------------------------------
-# Counterexample search
+# Counterexample search: a bounded chase
 
-def _universe_model(size: int) -> Model:
-    return Model(EMPTY_SIGNATURE, tuple(str(i) for i in range(max(size, 2))), {}, {}, {})
+def _labelled_rows(width: int, forced: dict[int, int], used: int, max_elems: int):
+    """Rows that agree with ``forced``; each free position, left to right,
+    takes one of the ``used`` values or the next unused one, below
+    ``max_elems``.  Every row is one of these up to renaming unused values."""
+    def extend(row: tuple[int, ...], n: int):
+        if len(row) == width:
+            yield row
+        elif len(row) in forced:
+            yield from extend(row + (forced[len(row)],), n)
+        else:
+            for v in range(min(n + 1, max_elems)):
+                yield from extend(row + (v,), max(n, v + 1))
+    return extend((), used)
 
 
-def find_counterexample(problem: IndProblem, max_rows: int, max_elems: int,
-                        seed: int = 2007, exhaustive_limit: int = 400_000,
-                        samples: int = 50_000) -> Team | None:
-    """A team satisfying every gamma atom and falsifying the goal, or None.
+def find_counterexample(problem: IndProblem, max_rows: int, max_elems: int) -> Team | None:
+    """A team satisfying every gamma atom and falsifying the goal, or None
+    when none has at most ``max_rows`` rows over ``max_elems`` elements.
 
-    Exhaustive over all teams within the bounds when that is small enough,
-    otherwise seeded random sampling.  A found team is re-verified with
-    eval_naive before being returned.
+    Any counterexample has a row s that falsifies the goal, and closing s
+    under one witness row per premise demand gives a counterexample inside
+    it, which the chase enumerates up to renaming.  A found team is
+    re-verified with eval_naive (``replay_counterexample``) before being
+    returned.
     """
     if max_rows < 1 or max_elems < 1:
         raise IndError("search bounds must be at least 1")
     variables = problem.variables()
-    elems = tuple(str(i) for i in range(max_elems))
-    assignments = list(itertools.product(elems, repeat=len(variables)))
     pos = {v: i for i, v in enumerate(variables)}
+    premises = [(tuple(pos[v] for v in a.lhs), tuple(pos[v] for v in a.rhs))
+                for a in problem.gamma]
+    goal_lhs = tuple(pos[v] for v in problem.goal.lhs)
+    goal_rhs = tuple(pos[v] for v in problem.goal.rhs)
+    nodes = 0
 
-    def atom_positions(atom: Inclusion):
-        return (tuple(pos[v] for v in atom.lhs), tuple(pos[v] for v in atom.rhs))
+    def chase(rows: list[tuple[int, ...]], used: int, banned: tuple[int, ...] | None):
+        # ``banned``: the start row's goal left values, which no row's goal
+        # right values may meet
+        nonlocal nodes
+        demand = None if rows else {}  # forced positions; a start row has none
+        for lhs, rhs in premises:
+            need = {tuple(r[i] for i in lhs) for r in rows} - \
+                {tuple(r[j] for j in rhs) for r in rows}
+            # a new row meets one demand per premise
+            if len(rows) + len(need) > max_rows:
+                return None
+            for values in need:
+                forced: dict[int, int] = {}
+                for j, v in zip(rhs, values):
+                    if forced.setdefault(j, v) != v:
+                        return None
+                if all(j in forced for j in goal_rhs) and \
+                        tuple(forced[j] for j in goal_rhs) == banned:
+                    return None
+                # meet first the demand that leaves the fewest free positions
+                if demand is None or len(forced) > len(demand):
+                    demand = forced
+        if demand is None:
+            return rows
+        for row in _labelled_rows(len(variables), demand, used, max_elems):
+            nodes += 1
+            if nodes > MAX_NODES:
+                raise IndError(f"counterexample chase exceeded {MAX_NODES} rows tried;"
+                               " lower --rows or --elems")
+            goal_values = banned if rows else tuple(row[i] for i in goal_lhs)
+            if tuple(row[j] for j in goal_rhs) != goal_values:
+                found = chase(rows + [row], max(used, max(row) + 1), goal_values)
+                if found is not None:
+                    return found
+        return None
 
-    gamma_idx = [atom_positions(a) for a in problem.gamma]
-    goal_idx = atom_positions(problem.goal)
-
-    def is_counterexample(rows: tuple[tuple[str, ...], ...]) -> bool:
-        return all(inclusion_holds(rows, *idx) for idx in gamma_idx) and \
-            not inclusion_holds(rows, *goal_idx)
-
-    total = sum(math.comb(len(assignments), r) for r in range(1, max_rows + 1))
-    found: tuple[tuple[str, ...], ...] | None = None
-    if total <= exhaustive_limit:
-        for r in range(1, max_rows + 1):
-            for rows in itertools.combinations(assignments, r):
-                if is_counterexample(rows):
-                    found = rows
-                    break
-            if found:
-                break
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            r = rng.randint(1, max_rows)
-            rows = tuple(sorted(set(rng.choice(assignments) for _ in range(r))))
-            if is_counterexample(rows):
-                found = rows
-                break
+    found = chase([], 0, None)
     if found is None:
         return None
-    team = Team(variables, frozenset(found))
-    model = _universe_model(max_elems)
-    guards = Guards(max_rows=max(len(team), 8), max_universe=max(max_elems, 4))
-    for atom in problem.gamma:
-        if not eval_naive(model, team, atom, guards):
-            raise IndError("internal error: counterexample fails a premise")
-    if eval_naive(model, team, problem.goal, guards):
-        raise IndError("internal error: counterexample satisfies the goal")
+    team = Team(variables, frozenset(tuple(str(v) for v in row) for row in found))
+    if not replay_counterexample(problem, team):
+        raise IndError("internal error: the chase's team is not a counterexample")
     return team
 
 
-def replay_counterexample(problem: IndProblem, team: Team,
-                          universe_size: int | None = None) -> bool:
-    size = universe_size or max(
-        (int(e) + 1 for row in team.rows for e in row), default=2)
-    model = _universe_model(size)
+def replay_counterexample(problem: IndProblem, team: Team) -> bool:
+    size = max((int(e) + 1 for row in team.rows for e in row), default=2)
+    model = Model(EMPTY_SIGNATURE, tuple(str(i) for i in range(max(size, 2))), {}, {}, {})
     guards = Guards(max_rows=max(len(team), 8), max_universe=max(size, 4))
     ok = all(eval_naive(model, team, a, guards) for a in problem.gamma)
     return ok and not eval_naive(model, team, problem.goal, guards)

@@ -216,17 +216,9 @@ class _NaiveState:
         model = self.model
         if isinstance(f, Bottom):
             return team.is_empty()
-        if self.fo_flat and is_first_order(f):
+        if isinstance(f, (Equals, Relation, Not)) or (self.fo_flat and is_first_order(f)):
             self.tick(len(team))
             return all(_fo(model, dict(zip(team.domain, row)), f) for row in team.rows)
-        if isinstance(f, (Equals, Relation)):
-            self.tick(len(team))
-            return all(_fo(model, dict(zip(team.domain, row)), f) for row in team.rows)
-        if isinstance(f, Not):
-            self.tick(len(team))
-            return all(
-                not _fo(model, dict(zip(team.domain, row)), f.body) for row in team.rows
-            )
         if isinstance(f, Inclusion):
             self.tick(len(team))
             return inclusion_holds(team.rows, _positions(team.domain, f.lhs),

@@ -9,7 +9,7 @@ inclusion, anonymity atoms, weak classical negation) is eliminated by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -138,6 +138,26 @@ class _Node:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        # an explicit stack, so two deep trees compare without recursion; the
+        # stored hashes reject most unequal pairs at their roots
+        if not isinstance(other, _Node):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for name in a._compared:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, _Node):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
     def _set_meta(self, key: tuple, free: frozenset[str], first_order: bool,
                   depth: int) -> None:
         # ``key`` holds the compared fields, so equal nodes hash alike
@@ -146,10 +166,13 @@ class _Node:
 
 
 def _node(cls):
-    """Make ``cls`` a frozen dataclass that keeps the stored hash, in place of
-    the generated one that would hash the fields, and so the whole tree."""
+    """Make ``cls`` a frozen dataclass that keeps the stored hash and the
+    stack-based equality, in place of the generated ones that would recurse
+    through the fields, and so the whole tree."""
     cls = dataclass(frozen=True)(cls)
     cls.__hash__ = _Node.__hash__
+    cls.__eq__ = _Node.__eq__
+    cls._compared = tuple(f.name for f in fields(cls) if f.compare)
     return cls
 
 

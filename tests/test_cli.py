@@ -108,6 +108,20 @@ def test_implies_exit_codes(files):
     assert main(["implies", "--gamma", "x<=", "--phi", "x<=x"]) == 2
 
 
+def test_implies_unknown_shows_bounds(capsys):
+    assert main(["--format", "records", "implies", "--gamma", "d,c <= e,e",
+                 "--phi", "d <= c", "--rows", "4", "--elems", "2"]) == 3
+    record = json.loads(capsys.readouterr().out)
+    assert record == {"verdict": "unknown", "searched": {"rows": 4, "elems": 2}}
+
+
+def test_implies_rejects_removed_options():
+    for option in ("--depth", "--seed"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["implies", "--gamma", "x<=y", "--phi", "x<=y", option, "8"])
+        assert exit_info.value.code == 2
+
+
 def test_approx(files, capsys):
     code = main(["approx", "--formula", "A x. x = x",
                  "--model", files["cycle"], "--n", "1"])

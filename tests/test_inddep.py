@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from inclogic import inddep
 from inclogic.inddep import (
+    DerivStep,
     IndError,
     IndProblem,
     find_counterexample,
@@ -57,9 +59,20 @@ class TestVerdicts:
         p = parse_ind_problem("x <= y; y <= z", "x <= z")
         assert find_counterexample(p, max_rows=3, max_elems=3) is None
 
-    def test_depth_bound_validaton(self):
+    def test_search_bounds_validation(self):
         with pytest.raises(IndError):
-            ind_implies(parse_ind_problem("", "x <= x"), depth=0)
+            ind_implies(parse_ind_problem("", "x <= y"), max_rows=0)
+
+    def test_search_budgets(self, monkeypatch):
+        monkeypatch.setattr(inddep, "MAX_NODES", 1000)
+        p = parse_ind_problem("c,d <= a,e; e,a,e <= a,a,a; a <= d; e,e,c <= c,c,b",
+                              "c,a <= b,d")
+        with pytest.raises(IndError, match="chase exceeded 1000"):
+            ind_implies(p, max_rows=8, max_elems=8)
+        # 3^7 tuples of x, y and z are reachable from x,...,x
+        wide = parse_ind_problem("x,x,x <= x,y,z", ",".join("x" * 7) + " <= " + ",".join("w" * 7))
+        with pytest.raises(IndError, match="chain search exceeded 1000"):
+            ind_implies(wide)
 
 
 class TestCertificates:
@@ -72,6 +85,18 @@ class TestCertificates:
             steps[-1].indices)]
         assert not replay_derivation(p, tuple(bad))
 
+    def test_malformed_derivation_rejected(self):
+        p = parse_ind_problem("", "x <= y")
+        goal = p.goal
+        # a step that projects itself, through a negative parent index
+        assert not replay_derivation(p, (DerivStep(goal, "project", (-1,), (0,)),))
+        # wrong parent counts for the rule
+        assert not replay_derivation(p, (DerivStep(goal, "identity", (0,)),))
+        q = parse_ind_problem("x <= y", "x <= y")
+        given = DerivStep(q.goal, "given", ())
+        assert not replay_derivation(q, (given, DerivStep(goal, "project", (0, 0), (0,))))
+        assert not replay_derivation(q, (given, DerivStep(goal, "transitive", (0,))))
+
     def test_tampered_counterexample_rejected(self):
         p = parse_ind_problem("x <= y", "y <= x")
         team = Team(("x", "y"), frozenset({("0", "0")}))
@@ -79,6 +104,8 @@ class TestCertificates:
 
 
 class TestSoundnessSmall:
+    # the chase is complete within its bounds: a problem is refuted exactly
+    # when some team of at most 3 rows over 3 elements refutes it
     def test_derivable_verdicts_hold_on_all_small_teams(self):
         rng = random.Random(23)
         variables = ("x", "y", "z", "u")
@@ -97,10 +124,10 @@ class TestSoundnessSmall:
                 tuple(rng.choice(variables) for _ in range(goal_width)))
             problem = IndProblem(tuple(atoms), goal)
             verdict = ind_implies(problem, max_rows=3, max_elems=3)
+            assert (verdict.kind == "refuted") != _holds_on_all_small_teams(problem)
             if verdict.kind == "derivable":
                 derivable += 1
                 assert replay_derivation(problem, verdict.derivation)
-                assert _holds_on_all_small_teams(problem)
                 # never both: the search must not find a counterexample
                 assert find_counterexample(problem, 3, 3) is None
             elif verdict.kind == "refuted":
@@ -110,17 +137,24 @@ class TestSoundnessSmall:
 
 
 def _holds_on_all_small_teams(problem: IndProblem) -> bool:
+    """No team of 1-3 distinct rows over three elements refutes the goal."""
     variables = problem.variables()
-    elems = ("0", "1", "2")
-    assignments = list(itertools.product(elems, repeat=len(variables)))
+    assignments = list(itertools.product("012", repeat=len(variables)))
     pos = {v: i for i, v in enumerate(variables)}
 
-    def sat(rows, atom):
-        rvals = {tuple(r[pos[v]] for v in atom.rhs) for r in rows}
-        return all(tuple(r[pos[v]] for v in atom.lhs) in rvals for r in rows)
+    def sides(atom):
+        # the atom's left and right value tuples, per assignment
+        return ([tuple(r[pos[v]] for v in atom.lhs) for r in assignments],
+                [tuple(r[pos[v]] for v in atom.rhs) for r in assignments])
 
+    def sat(team, atom_sides):
+        lhs, rhs = atom_sides
+        return {lhs[i] for i in team} <= {rhs[i] for i in team}
+
+    gamma = [sides(a) for a in problem.gamma]
+    goal = sides(problem.goal)
     for r in range(1, 4):
-        for rows in itertools.combinations(assignments, r):
-            if all(sat(rows, a) for a in problem.gamma) and not sat(rows, problem.goal):
+        for team in itertools.combinations(range(len(assignments)), r):
+            if all(sat(team, a) for a in gamma) and not sat(team, goal):
                 return False
     return True

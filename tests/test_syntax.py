@@ -150,6 +150,11 @@ class TestNodeMetadata:
         assert free_vars(f) == {"x"} and is_first_order(f) and quantifier_depth(f) == 0
         assert sum(1 for _ in subformulas(f)) == 9999
 
+    def test_deep_equality(self):
+        a = parse(" & ".join(["x = x"] * 2000))
+        assert a == parse(" & ".join(["x = x"] * 2000))
+        assert a != parse(" & ".join(["x = x"] * 1999 + ["x = y"]))
+
     def test_formula_freed_once_dropped(self):
         # no cache anywhere holds a formula after its last user lets go
         model = parse_model("universe: 0 1\nrelation P/1: (0)\nrelation R/2: (0,1)")
