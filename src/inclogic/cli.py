@@ -160,13 +160,14 @@ def _dispatch(args, out: Output) -> int:
         check_team_in_model(team, model)
         f = parse_formula(_formula_text(args), model.sig)
         try:
-            verdict = evaluate(model, team, f, engine=args.engine, guards=_guards(args))
+            sub = max_subteam(model, team, f) if args.max_subteam else None
+            verdict = evaluate(model, team, f, engine=args.engine, guards=_guards(args),
+                               subteam=sub)
         except GuardExceeded as e:
             raise EvalError(str(e)) from None
         record = {"verdict": verdict, "engine": args.engine, "formula": pretty(f)}
         lines = [str(verdict).lower()]
-        if args.max_subteam:
-            sub = max_subteam(model, team, f)
+        if sub is not None:
             record["max_subteam"] = sorted(sub.rows)
             record["max_subteam_domain"] = list(sub.domain)
             lines.append(format_team(sub).rstrip())

@@ -5,9 +5,9 @@ Two engines:
 * ``eval_naive`` follows the satisfaction definition literally — it
   searches every cover for a disjunction and every supplement function for
   a lax existential.  It is the oracle: slow, guarded, and trusted.
-* ``eval_fast`` computes the maximal satisfying subteam by fixpoint
-  iteration (sound because inclusion-logic formulas are closed under
-  unions) and reports whether it is the whole team.
+* ``eval_fast`` computes the maximal satisfying subteam (sound because
+  inclusion-logic formulas are closed under unions) in one deletion pass
+  over the grounded formula, and reports whether it is the whole team.
 
 Both engines treat first-order subformulas with the flat clause
 "every row satisfies it", which is itself a clause of the definition.
@@ -19,7 +19,9 @@ exercise.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Collection, Mapping
 
 from .models import Model, Team, check_team
@@ -48,7 +50,7 @@ class EvalError(ValueError):
 
 
 class GuardExceeded(EvalError):
-    """A naive-engine guard tripped; no verdict was produced."""
+    """A naive-engine guard or the grounding budget tripped; no verdict."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ def _check_input(team: Team, f: Formula):
 
 
 def _positions(domain: tuple[str, ...], names: tuple[str, ...]) -> tuple[int, ...]:
-    return tuple(domain.index(v) for v in names)
+    return tuple(map(domain.index, names))
 
 
 def inclusion_holds(rows: Collection[tuple[str, ...]], lpos: tuple[int, ...],
@@ -327,15 +329,80 @@ def naive_cost_estimate(f: Formula, rows: int, universe: int,
 # ---------------------------------------------------------------------------
 # Maximal-subteam engine
 
+MAX_ROWS = 1_000_000  # the most candidate rows max_subteam grounds in one call
+
+
 def max_subteam(model: Model, team: Team, f: Formula) -> Team:
     """The largest subteam of ``team`` satisfying ``f``.
 
     Exists and is unique because inclusion-logic formulas are closed under
-    unions of satisfying teams; computed by clause-wise greatest-fixpoint
-    iteration.
+    unions of satisfying teams.  ``f`` is grounded top down into cells, the
+    rows of an ``And`` chain that pass its first-order conjuncts; rows are
+    then deleted to the greatest fixpoint in time linear in the grounding.
     """
     _check_input(team, f)
-    return _MaxState(model).max(f, team)
+    universe = model.universe
+    grounded = len(team.rows)
+    root, edges, dead = [], [], []
+    stack = [(f, team.domain, team.rows, None, root)]
+    while stack:
+        g, dom, rows, at, siblings = stack.pop()
+        if at is not None:  # ``rows`` are keys to extend at ``at``
+            rows = (k[:at] + (a,) + k[at:] for k in rows for a in universe)
+        parts, incs, branches = [g], [], []
+        while parts:
+            h = parts.pop()
+            if isinstance(h, And):
+                parts += (h.right, h.left)
+            elif h._first_order:
+                # filter before anything below this cell is grounded
+                test = _row_test(model, dom, h)
+                rows = [r for r in rows if test(r)]
+            else:
+                (incs if isinstance(h, Inclusion) else branches).append(h)
+        # live rows, the watches they feed, and whether deaths matter below
+        cell = (set(rows), [], not g._first_order)
+        siblings.append(cell)
+        for h in incs:
+            # AC-4: a row lives while some row supports its left value
+            lget = itemgetter(*_positions(dom, h.lhs))
+            rget = itemgetter(*_positions(dom, h.rhs))
+            index = defaultdict(list)
+            for r in cell[0]:
+                index[lget(r)].append((cell, r))
+            _watch([cell], rget, [cell], lget, index.__getitem__, 1, dead)
+        for h in branches:
+            kids = []
+            if isinstance(h, Or):
+                grounded += 2 * len(cell[0])
+                stack += [(h.right, dom, cell[0], None, kids), (h.left, dom, cell[0], None, kids)]
+                edges.append((cell, kids, None, None, 1))
+            else:
+                dom2, at, replaced = _extended_domain(dom, h.var)
+                keys = set(map(_key(at), cell[0])) if replaced else cell[0]
+                grounded += len(keys) * len(universe)
+                stack.append((h.body, dom2, keys, at, kids))
+                need = len(universe) if isinstance(h, Forall) else 1
+                edges.append((cell, kids, at, at if replaced else None, need))
+            if grounded > MAX_ROWS:
+                raise GuardExceeded(f"grounding exceeds {MAX_ROWS} rows")
+    for parent, kids, at, pat, need in edges:
+        # a parent row needs ``need`` live child rows of its key, a child row one
+        ckey, pkey = _key(at), _key(pat)
+        _watch(kids, ckey, [parent], pkey, _spread([parent], pat, universe), need, dead)
+        _watch([parent], pkey, [], None, _spread([k for k in kids if k[2]], at, universe), 1, dead)
+    while dead:
+        cell, row = dead.pop()
+        if row in cell[0]:
+            cell[0].remove(row)
+            for key, counts, targets, need in cell[1]:
+                k = key(row)
+                counts[k] -= 1
+                if counts[k] == need - 1:
+                    dead += targets(k)
+    for cell in root + [kid for _, kids, *_ in edges for kid in kids]:
+        cell[1].clear()  # the watches refer back to the cells: free the cycles now
+    return Team(team.domain, frozenset(root[0][0]))
 
 
 def eval_fast(model: Model, team: Team, f: Formula) -> bool:
@@ -343,90 +410,56 @@ def eval_fast(model: Model, team: Team, f: Formula) -> bool:
     return max_subteam(model, team, f).rows == team.rows
 
 
-class _MaxState:
-    def __init__(self, model: Model):
-        self.model = model
-        self.memo: dict[tuple, Team] = {}
+def _watch(src: list, skey, dst: list, dkey, targets, need: int, dead: list) -> None:
+    """Let the rows of the ``src`` cells hold up the ``dst`` rows of the same
+    key, listed by ``targets(key)``: they die once fewer than ``need`` live.
+    Only the death that takes a count below ``need`` kills, so each key once."""
+    counts: dict = {}
+    for c in src:
+        for r in c[0]:
+            k = skey(r)
+            counts[k] = counts.get(k, 0) + 1
+    dead += [(c, r) for c in dst for r in c[0] if counts.get(dkey(r), 0) < need]
+    for c in src:
+        c[1].append((skey, counts, targets, need))
 
-    def max(self, f: Formula, team: Team) -> Team:
-        key = (f, team.domain, team.rows)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._max(f, team)
-        self.memo[key] = out
-        return out
 
-    def _max(self, f: Formula, team: Team) -> Team:
-        model = self.model
-        if isinstance(f, Bottom):
-            return Team(team.domain, frozenset())
-        if is_first_order(f):
-            keep = frozenset(
-                row for row in team.rows if _fo(model, dict(zip(team.domain, row)), f)
-            )
-            return Team(team.domain, keep)
-        if isinstance(f, Inclusion):
-            return self._inclusion(f, team)
-        if isinstance(f, And):
-            current = team
-            while True:
-                nxt = self.max(f.right, self.max(f.left, current))
-                if nxt.rows == current.rows:
-                    return current
-                current = nxt
-        if isinstance(f, Or):
-            return self.max(f.left, team).union(self.max(f.right, team))
-        if isinstance(f, Exists):
-            dup = duplicate(team, f.var, model)
-            best = self.max(f.body, dup)
-            dom, insert_at, replaced = _extended_domain(team.domain, f.var)
-            keep = frozenset(
-                row for row in team.rows
-                if any(_extend_row(row, insert_at, replaced, a) in best.rows
-                       for a in model.universe)
-            )
-            return Team(team.domain, keep)
-        if isinstance(f, Forall):
-            current = team
-            dom, insert_at, replaced = _extended_domain(team.domain, f.var)
-            while True:
-                dup = duplicate(current, f.var, model)
-                best = self.max(f.body, dup)
-                keep = frozenset(
-                    row for row in current.rows
-                    if all(_extend_row(row, insert_at, replaced, a) in best.rows
-                           for a in model.universe)
-                )
-                if keep == current.rows:
-                    return current
-                current = Team(team.domain, keep)
-        raise EvalError(f"cannot evaluate {f!r}")
+def _key(at: int | None):
+    """Row -> its group key: the row without position ``at``."""
+    return (lambda r: r) if at is None else (lambda r: r[:at] + r[at + 1:])
 
-    def _inclusion(self, f: Inclusion, team: Team) -> Team:
-        lpos = _positions(team.domain, f.lhs)
-        rpos = _positions(team.domain, f.rhs)
-        rows = set(team.rows)
-        while True:
-            rvalues = {tuple(row[i] for i in rpos) for row in rows}
-            keep = {row for row in rows if tuple(row[i] for i in lpos) in rvalues}
-            if keep == rows:
-                return Team(team.domain, frozenset(rows))
-            rows = keep
+
+def _spread(cells: list, at: int | None, universe: tuple[str, ...]):
+    """Group key -> the rows of ``cells`` with that key."""
+    if at is None:
+        return lambda k: [(c, k) for c in cells]
+    return lambda k: [(c, k[:at] + (a,) + k[at:]) for c in cells for a in universe]
+
+
+def _row_test(model: Model, dom: tuple[str, ...], f: Formula):
+    """First-order ``f`` as a test on rows over ``dom``; equalities and
+    relation atoms between variables read the row's positions directly."""
+    if isinstance(f, Equals) and isinstance(f.left, Var) and isinstance(f.right, Var):
+        i, j = dom.index(f.left.name), dom.index(f.right.name)
+        return lambda r: r[i] == r[j]
+    if isinstance(f, Relation) and f.args and all(isinstance(a, Var) for a in f.args):
+        pos, table = _positions(dom, tuple(a.name for a in f.args)), model.relations[f.name]
+        get = itemgetter(*pos) if len(pos) > 1 else lambda r: (r[pos[0]],)
+        return lambda r: get(r) in table
+    return lambda r: _fo(model, dict(zip(dom, r)), f)
 
 
 def evaluate(model: Model, team: Team, f: Formula, engine: str = "fast",
-             guards: Guards = DEFAULT_GUARDS) -> bool:
-    """Dispatch by engine name; ``both`` asserts the engines agree."""
-    if engine == "fast":
-        return eval_fast(model, team, f)
+             guards: Guards = DEFAULT_GUARDS, subteam: Team | None = None) -> bool:
+    """Dispatch by engine name; ``both`` asserts the engines agree.  The fast
+    verdict is read off ``subteam``, the maximal subteam, when it is given."""
+    if engine not in ("fast", "naive", "both"):
+        raise EvalError(f"unknown engine {engine!r}")
     if engine == "naive":
         return eval_naive(model, team, f, guards)
+    fast = (max_subteam(model, team, f) if subteam is None else subteam).rows == team.rows
     if engine == "both":
-        fast = eval_fast(model, team, f)
         naive = eval_naive(model, team, f, guards)
         if fast != naive:
-            raise EvalError(
-                f"engine disagreement: fast={fast} naive={naive} on {f!r}")
-        return fast
-    raise EvalError(f"unknown engine {engine!r}")
+            raise EvalError(f"engine disagreement: fast={fast} naive={naive} on {f!r}")
+    return fast

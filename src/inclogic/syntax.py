@@ -610,10 +610,31 @@ def pretty_term(t: Term) -> str:
 
 def pretty(f: Formula) -> str:
     """Concrete syntax that reparses to an alpha-equivalent formula."""
-    return _pp(f, 0)
+    # an explicit stack of (formula, context precedence) pairs and the text
+    # still to follow them, so a long conjunction prints without recursion
+    out, stack = [], [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, ctx = item
+        kind = type(g)
+        if kind is And or kind is Or:
+            prec, op = (_PREC_AND, " & ") if kind is And else (_PREC_OR, " | ")
+            rest = [(g.right, prec + 1), op, (g.left, prec)]
+        elif kind is Exists or kind is Forall:
+            prec, rest = 0, [(g.body, 0), f"{'E' if kind is Exists else 'A'} {g.var}. "]
+        elif kind is Not:
+            prec, rest = _PREC_NOT, [(g.body, _PREC_NOT), "~"]
+        else:
+            out.append(_pp_atom(g))
+            continue
+        stack += [")", *rest, "("] if prec < ctx else rest
+    return "".join(out)
 
 
-def _pp(f: Formula, ctx: int) -> str:
+def _pp_atom(f: Formula) -> str:
     if isinstance(f, Bottom):
         return "bot"
     if isinstance(f, Equals):
@@ -624,20 +645,4 @@ def _pp(f: Formula, ctx: int) -> str:
         return f"{f.name}({', '.join(pretty_term(a) for a in f.args)})"
     if isinstance(f, Inclusion):
         return f"{','.join(f.lhs)} <= {','.join(f.rhs)}"
-    if isinstance(f, Not):
-        return _wrap(f"~{_pp(f.body, _PREC_NOT)}", _PREC_NOT, ctx)
-    if isinstance(f, And):
-        s = f"{_pp(f.left, _PREC_AND)} & {_pp(f.right, _PREC_AND + 1)}"
-        return _wrap(s, _PREC_AND, ctx)
-    if isinstance(f, Or):
-        s = f"{_pp(f.left, _PREC_OR)} | {_pp(f.right, _PREC_OR + 1)}"
-        return _wrap(s, _PREC_OR, ctx)
-    if isinstance(f, Exists):
-        return _wrap(f"E {f.var}. {_pp(f.body, 0)}", 0, ctx)
-    if isinstance(f, Forall):
-        return _wrap(f"A {f.var}. {_pp(f.body, 0)}", 0, ctx)
     raise FormulaError(f"cannot print {f!r}")
-
-
-def _wrap(s: str, prec: int, ctx: int) -> str:
-    return f"({s})" if prec < ctx else s

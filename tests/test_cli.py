@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from inclogic import cli, semantics
 from inclogic.cli import main
+from inclogic.semantics import max_subteam
 
 CYCLE = """
 universe: 0 1 2
@@ -146,6 +148,41 @@ def test_eval_long_conjunction(files, capsys):
                  "--formula", " & ".join(["x = x"] * 600)])
     assert code == 0
     assert capsys.readouterr().out.strip() == "true"
+
+
+def test_eval_flat_conjunction_of_3000(files, capsys):
+    team = files["tmp"] / "x.team"
+    team.write_text("x\n0\n1\n")
+    code = main(["eval", "--model", files["cycle"], "--team", str(team),
+                 "--formula", " & ".join(["x = x"] * 3000)])
+    assert (code, capsys.readouterr().out.strip()) == (0, "true")
+
+
+def test_eval_grounding_budget(files, capsys, monkeypatch):
+    monkeypatch.setattr(semantics, "MAX_ROWS", 20)
+    code = main(["eval", "--model", files["cycle"], "--team", files["empty"],
+                 "--formula", "E x. E y. E z. (y <= x & y < z)"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "grounding exceeds 20 rows" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("engine", ["fast", "both"])
+def test_eval_max_subteam_runs_engine_once(files, capsys, monkeypatch, engine):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return max_subteam(*args)
+
+    monkeypatch.setattr(cli, "max_subteam", counted)
+    monkeypatch.setattr(semantics, "max_subteam", counted)
+    code = main(["eval", "--model", files["cycle"], "--team", files["empty"],
+                 "--engine", engine, "--max-subteam",
+                 "--formula", "E x. E y. (y <= x & y < x)"])
+    assert code == 0 and len(calls) == 1
+    assert capsys.readouterr().out.split("\n")[0] == "true"
 
 
 def test_deep_nesting_is_an_error(capsys):

@@ -1,14 +1,20 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from inclogic.models import SINGLETON_EMPTY_DOMAIN, Team, parse_model, parse_team
+from inclogic import semantics
+from inclogic.models import SINGLETON_EMPTY_DOMAIN, Model, Team, parse_model, parse_team
 from inclogic.parser import parse_formula
 from inclogic.semantics import (
     EvalError,
     GuardExceeded,
     Guards,
+    _extend_row,
+    _extended_domain,
+    _fo,
+    _positions,
     duplicate,
     eval_fast,
     eval_fo,
@@ -17,7 +23,19 @@ from inclogic.semantics import (
     supplement,
 )
 from inclogic.suites import gen_formula, gen_model, gen_team
-from inclogic.syntax import free_vars
+from inclogic.syntax import (
+    And,
+    Bottom,
+    Exists,
+    Forall,
+    Formula,
+    Inclusion,
+    Or,
+    Signature,
+    conj,
+    free_vars,
+    is_first_order,
+)
 
 ORDER = parse_model("""
 universe: 0 1 2
@@ -124,25 +142,49 @@ class TestMaxSubteam:
         assert max_subteam(PLAIN, Team(("x",), frozenset()), fml("x = x", PLAIN)).is_empty()
 
     def test_fixpoint_and_maximality_brute_force(self):
+        # eval_naive judges every subteam, so the engine is not checked
+        # against itself
         rng = random.Random(7)
+        skipped = 0
         for _ in range(150):
             model = gen_model(rng, max_size=3)
             f = gen_formula(rng, ("x", "y"), rng.randint(1, 6))
             fv = tuple(sorted(free_vars(f))) or ("x",)
             team = gen_team(rng, model, fv, max_rows=4)
             best = max_subteam(model, team, f)
-            assert eval_fast(model, best, f)
             rows = sorted(team.rows)
-            union = set()
-            for k in range(len(rows) + 1):
-                for combo in itertools.combinations(rows, k):
-                    sub = Team(team.domain, frozenset(combo))
-                    if eval_fast(model, sub, f):
-                        union |= set(combo)
-            assert best.rows == frozenset(union)
-            for removed in team.rows - best.rows:
-                bigger = Team(team.domain, best.rows | {removed})
-                assert not eval_fast(model, bigger, f)
+            try:
+                assert eval_naive(model, best, f)
+                union = set()
+                for k in range(len(rows) + 1):
+                    for combo in itertools.combinations(rows, k):
+                        if eval_naive(model, Team(team.domain, frozenset(combo)), f):
+                            union |= set(combo)
+                assert best.rows == frozenset(union)
+                for removed in team.rows - best.rows:
+                    bigger = Team(team.domain, best.rows | {removed})
+                    assert not eval_naive(model, bigger, f)
+            except GuardExceeded:
+                skipped += 1
+        assert skipped == SKIPPED_BRUTE_FORCE
+
+    def test_long_flat_conjunction(self):
+        team = parse_team("x,y\n0,1\n1,0\n")
+        atoms = [fml("x = x", PLAIN)] * 3000
+        assert eval_fast(PLAIN, team, conj(atoms))
+        assert eval_fast(PLAIN, team, conj(atoms + [fml("y <= x", PLAIN)]))
+
+    def test_grounding_budget(self, monkeypatch):
+        monkeypatch.setattr(semantics, "MAX_ROWS", 50)
+        team = parse_team("x\n0\n1\n2\n")
+        # 3 rows, then 9 and 27 candidate rows: 39 in all
+        assert eval_fast(PLAIN, team, fml("A y. A z. x <= z", PLAIN))
+        with pytest.raises(GuardExceeded, match="grounding exceeds 50 rows"):
+            max_subteam(PLAIN, team, fml("A y. A z. A u. x <= u", PLAIN))
+
+
+# the number of the 150 brute-force instances on which eval_naive's guards trip
+SKIPPED_BRUTE_FORCE = 0
 
 
 class TestEngineAgreement:
@@ -159,3 +201,148 @@ class TestEngineAgreement:
     def test_guard_free_fast_engine(self):
         team = Team(("x",), frozenset((str(i % 3),) for i in range(12)))
         assert eval_fast(PLAIN, team, fml("x <= x", PLAIN))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the recompute-everything fixpoint
+
+class _MaxState:
+    def __init__(self, model: Model):
+        self.model = model
+        self.memo: dict[tuple, Team] = {}
+
+    def max(self, f: Formula, team: Team) -> Team:
+        key = (f, team.domain, team.rows)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        out = self._max(f, team)
+        self.memo[key] = out
+        return out
+
+    def _max(self, f: Formula, team: Team) -> Team:
+        model = self.model
+        if isinstance(f, Bottom):
+            return Team(team.domain, frozenset())
+        if is_first_order(f):
+            keep = frozenset(
+                row for row in team.rows if _fo(model, dict(zip(team.domain, row)), f)
+            )
+            return Team(team.domain, keep)
+        if isinstance(f, Inclusion):
+            return self._inclusion(f, team)
+        if isinstance(f, And):
+            current = team
+            while True:
+                nxt = self.max(f.right, self.max(f.left, current))
+                if nxt.rows == current.rows:
+                    return current
+                current = nxt
+        if isinstance(f, Or):
+            return self.max(f.left, team).union(self.max(f.right, team))
+        if isinstance(f, Exists):
+            dup = duplicate(team, f.var, model)
+            best = self.max(f.body, dup)
+            dom, insert_at, replaced = _extended_domain(team.domain, f.var)
+            keep = frozenset(
+                row for row in team.rows
+                if any(_extend_row(row, insert_at, replaced, a) in best.rows
+                       for a in model.universe)
+            )
+            return Team(team.domain, keep)
+        if isinstance(f, Forall):
+            current = team
+            dom, insert_at, replaced = _extended_domain(team.domain, f.var)
+            while True:
+                dup = duplicate(current, f.var, model)
+                best = self.max(f.body, dup)
+                keep = frozenset(
+                    row for row in current.rows
+                    if all(_extend_row(row, insert_at, replaced, a) in best.rows
+                           for a in model.universe)
+                )
+                if keep == current.rows:
+                    return current
+                current = Team(team.domain, keep)
+        raise EvalError(f"cannot evaluate {f!r}")
+
+    def _inclusion(self, f: Inclusion, team: Team) -> Team:
+        lpos = _positions(team.domain, f.lhs)
+        rpos = _positions(team.domain, f.rhs)
+        rows = set(team.rows)
+        while True:
+            rvalues = {tuple(row[i] for i in rpos) for row in rows}
+            keep = {row for row in rows if tuple(row[i] for i in lpos) in rvalues}
+            if keep == rows:
+                return Team(team.domain, frozenset(rows))
+            rows = keep
+
+
+def _fixpoint_max_subteam(model: Model, team: Team, f: Formula) -> Team:
+    """The maximal subteam by clause-wise fixpoint iteration: the engine that
+    the deletion pass replaced, kept as the reference beyond eval_naive's
+    guards."""
+    return _MaxState(model).max(f, team)
+
+
+GRAPH_SIG = Signature({"R": 2}, {}, frozenset())
+
+
+def _digraph(rng: random.Random, shape: str, n: int):
+    if shape == "chain":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "lasso":
+        edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - rng.randint(2, n // 4))]
+    else:
+        edges = sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(n + n // 10)})
+    names = [f"n{i}" for i in rng.sample(range(n), n)]
+    edges = frozenset((names[a], names[b]) for a, b in edges)
+    return Model(GRAPH_SIG, tuple(names), {"R": edges}, {}, {}), edges
+
+
+class TestAgainstFixpoint:
+    def test_suite_stream(self):
+        rng = random.Random(2024)
+        for _ in range(3000):
+            model = gen_model(rng, max_size=3)
+            f = gen_formula(rng, ("x", "y", "z"), rng.randint(1, 12))
+            team = gen_team(rng, model, ("x", "y", "z"), max_rows=20)
+            assert max_subteam(model, team, f) == _fixpoint_max_subteam(model, team, f), f
+
+    def test_digraph_teams(self):
+        rng = random.Random(99)
+        edge_queries = ("y <= x", "E z. (y <= x & z = y)")
+        for shape in ("chain", "lasso", "sparse"):
+            for _ in range(3):
+                model, edges = _digraph(rng, shape, rng.randint(20, 120))
+                team = Team(("x", "y"), edges)
+                # the reference is cubic on chains: keep its chains short
+                for text in edge_queries if len(edges) <= 60 else edge_queries[:1]:
+                    f = parse_formula(text, GRAPH_SIG)
+                    assert max_subteam(model, team, f) == _fixpoint_max_subteam(model, team, f)
+                nodes = Team(("x",), frozenset((v,) for v in model.universe))
+                f = parse_formula("E y. (R(x,y) & y <= x)", GRAPH_SIG)
+                assert max_subteam(model, nodes, f) == _fixpoint_max_subteam(model, nodes, f)
+
+    @pytest.mark.parametrize("text", [
+        "E x. (y <= x & x = y)", "E x. (x <= y | y = x)", "A x. (x <= y)",
+        "A x. (y <= x & E y. x <= y)", "E y. (x <= y & R(y,x))", "A y. (R(x,y) | y <= x)",
+        "E x. E x. (x <= y & R(x,y))", "A y. E y. (y <= x & ~R(x,y))",
+    ])
+    def test_requantified_variable(self, text):
+        # the bound variable is already in the team's domain, so several
+        # parent rows reach the same child row
+        rng = random.Random(text)
+        for _ in range(40):
+            model, _ = _digraph(rng, "sparse", rng.randint(2, 5))
+            f = parse_formula(text, GRAPH_SIG)
+            team = gen_team(rng, model, ("x", "y"), max_rows=12)
+            assert max_subteam(model, team, f) == _fixpoint_max_subteam(model, team, f)
+
+    def test_long_chain_is_linear(self):
+        model, edges = _digraph(random.Random(5), "chain", 500)
+        f = parse_formula("E z. (y <= x & z = y)", GRAPH_SIG)
+        start = time.perf_counter()
+        best = max_subteam(model, Team(("x", "y"), edges), f)
+        assert best.rows == frozenset() and len(edges) == 499
+        assert time.perf_counter() - start < 2.0
