@@ -11,12 +11,17 @@ maximally to the right)::
 ``E``, ``A``, ``bot``, ``ups``, and ``snot`` are reserved words.  Sugar
 (``ups``, ``snot``, bracketed term inclusion) is desugared at parse time;
 the returned AST is always a kernel formula.
+
+The lexer is one ``findall``: tokens are the matched strings themselves,
+with ``""`` marking the end of the input.  Token offsets are not kept; a
+``ParseError`` recovers the offset of the token it points at by lexing the
+text again.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import string
 
 from .syntax import (
     Anonymity,
@@ -45,10 +50,8 @@ from .syntax import (
 
 RESERVED = {"E", "A", "bot", "ups", "snot"}
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
-    r"|(?P<le><=)|(?P<lt><)|(?P<sym>[(),.=~&|\[\]]))"
-)
+_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_']*|<=?|[(),.=~&|\[\]])")
+_NAME_START = frozenset(string.ascii_letters + "_")
 
 
 class ParseError(FormulaError):
@@ -57,61 +60,55 @@ class ParseError(FormulaError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # 'name' | 'le' | 'lt' | a literal symbol | 'eof'
-    value: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError("unexpected character", pos, text)
-        if m.group("name"):
-            toks.append(_Tok("name", m.group("name"), m.start("name")))
-        elif m.group("le"):
-            toks.append(_Tok("le", "<=", m.start("le")))
-        elif m.group("lt"):
-            toks.append(_Tok("lt", "<", m.start("lt")))
-        else:
-            toks.append(_Tok(m.group("sym"), m.group("sym"), m.start("sym")))
-        pos = m.end()
-    toks.append(_Tok("eof", "", len(text)))
-    return toks
+def _scan(text: str) -> tuple[list[int], int]:
+    """Start offset of each token, and the offset where lexing stopped:
+    the end of the text's last token, or the whitespace before a character
+    no token matches."""
+    starts, end = [], 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != end:
+            break
+        starts.append(m.start(1))
+        end = m.end()
+    return starts, end
 
 
 class _Parser:
     def __init__(self, text: str, sig: Signature):
+        toks = _TOKEN_RE.findall(text)
+        # findall skips what no token matches, so a lost character shows as
+        # fewer token characters than non-space characters.
+        if sum(map(len, toks)) != len("".join(text.split())):
+            raise ParseError("unexpected character", _scan(text)[1], text)
+        toks.append("")
         self.text = text
         self.sig = sig
-        self.toks = _tokenize(text)
+        self.names = sig.names()
+        self.toks = toks
         self.i = 0
 
     # -- token helpers
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> str:
+        return self.toks[self.i]
 
-    def next(self) -> _Tok:
+    def next(self) -> str:
         t = self.toks[self.i]
-        if t.kind != "eof":
+        if t:
             self.i += 1
         return t
 
-    def expect(self, kind: str) -> _Tok:
+    def expect(self, tok: str, shown: str | None = None) -> str:
+        """Consume ``tok``; a mismatch names it as ``shown`` when given."""
         t = self.peek()
-        if t.kind != kind:
-            self.fail(f"expected {kind!r}, found {t.value!r}")
+        if t != tok:
+            self.fail(f"expected {shown or tok!r}, found {t!r}")
         return self.next()
 
     def fail(self, message: str):
-        raise ParseError(message, self.peek().pos, self.text)
+        starts = _scan(self.text)[0]
+        pos = starts[self.i] if self.i < len(starts) else len(self.text)
+        raise ParseError(message, pos, self.text)
 
     # -- grammar
 
@@ -120,70 +117,70 @@ class _Parser:
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
-        while self.peek().kind == "|":
+        while self.peek() == "|":
             self.next()
             f = Or(f, self.conjunction())
         return f
 
     def conjunction(self) -> Formula:
         f = self.unary()
-        while self.peek().kind == "&":
+        while self.peek() == "&":
             self.next()
             f = And(f, self.unary())
         return f
 
     def unary(self) -> Formula:
         t = self.peek()
-        if t.kind == "~":
+        if t == "~":
             self.next()
             body = self.unary()
             if not is_first_order(body):
                 self.fail("negation applies to first-order formulas only")
             return Not(body)
-        if t.kind == "name" and t.value == "snot":
+        if t == "snot":
             self.next()
             body = self.unary()
             if not is_first_order(body):
                 self.fail("snot applies to first-order formulas only")
             return self._sugar(WeakNeg(body))
-        if t.kind == "name" and t.value in ("E", "A"):
+        if t == "E" or t == "A":
             self.next()
             var = self.var_name()
             self.expect(".")
             body = self.formula()  # maximal right scope
-            return Exists(var, body) if t.value == "E" else Forall(var, body)
+            return Exists(var, body) if t == "E" else Forall(var, body)
         return self.atom()
 
     def atom(self) -> Formula:
         t = self.peek()
-        if t.kind == "(":
+        if t == "(":
             self.next()
             f = self.formula()
             self.expect(")")
             return f
-        if t.kind == "[":
+        if t == "[":
             return self.term_inclusion()
-        if t.kind == "name" and t.value == "bot":
+        if t == "bot":
             self.next()
             return Bottom()
-        if t.kind == "name" and t.value == "ups":
+        if t == "ups":
             self.next()
             return self._sugar(Anonymity((), self.opt_var_seq()))
-        if t.kind == "name" and t.value in self.sig.relations:
-            return self.relation_atom()
-        if t.kind in ("name",):
+        if t[:1] in _NAME_START:
+            if t in self.sig.relations:
+                return self.relation_atom()
             return self.term_headed()
-        self.fail(f"expected a formula, found {t.value!r}")
+        self.fail(f"expected a formula, found {t!r}")
 
     def relation_atom(self) -> Formula:
-        name = self.next().value
+        name = self.next()
         arity = self.sig.relations[name]
         args: tuple[Term, ...] = ()
-        if self.peek().kind == "(" or arity > 0:
+        if self.peek() == "(" or arity > 0:
             self.expect("(")
-            if self.peek().kind != ")":
+            if self.peek() != ")":
                 parts = [self.term()]
-                while self.peek().kind == ",":
+                while self.peek() == ",":
                     self.next()
                     parts.append(self.term())
                 args = tuple(parts)
@@ -196,63 +193,61 @@ class _Parser:
         """Atoms that start with a term: equality, infix <, inclusion, ups."""
         first = self.term()
         t = self.peek()
-        if t.kind == "=":
+        if t == "=":
             self.next()
             return Equals(first, self.term())
-        if t.kind == "lt":
+        if t == "<":
             self.next()
             if "<" not in self.sig.relations:
                 self.fail("infix '<' used but relation '<' is not declared")
             return Relation("<", (first, self.term()))
-        if t.kind in ("le", ",") or (t.kind == "name" and t.value == "ups"):
+        if t == "<=" or t == "," or t == "ups":
             lhs = [self.as_var(first)]
-            while self.peek().kind == ",":
+            while self.peek() == ",":
                 self.next()
                 lhs.append(self.var_name())
             nxt = self.peek()
-            if nxt.kind == "le":
+            if nxt == "<=":
                 self.next()
                 rhs = self.var_seq()
                 if len(lhs) != len(rhs):
                     self.fail("inclusion atom sides must have equal length")
                 return Inclusion(tuple(lhs), tuple(rhs))
-            if nxt.kind == "name" and nxt.value == "ups":
+            if nxt == "ups":
                 self.next()
                 return self._sugar(Anonymity(tuple(lhs), self.opt_var_seq()))
             self.fail("expected '<=' or 'ups' after variable sequence")
-        self.fail(f"expected '=', '<', '<=', ',' or 'ups' after term, found {t.value!r}")
+        self.fail(f"expected '=', '<', '<=', ',' or 'ups' after term, found {t!r}")
 
     def term_inclusion(self) -> Formula:
         self.expect("[")
-        lhs = [self.term()]
-        while self.peek().kind == ",":
-            self.next()
-            lhs.append(self.term())
+        lhs = self.term_seq()
         self.expect("]")
-        self.expect("le")
+        self.expect("<=", "le")
         self.expect("[")
-        rhs = [self.term()]
-        while self.peek().kind == ",":
-            self.next()
-            rhs.append(self.term())
+        rhs = self.term_seq()
         self.expect("]")
         if len(lhs) != len(rhs):
             self.fail("term inclusion sides must have equal length")
         return self._sugar(TermInclusion(tuple(lhs), tuple(rhs)))
 
+    def term_seq(self) -> list[Term]:
+        out = [self.term()]
+        while self.peek() == ",":
+            self.next()
+            out.append(self.term())
+        return out
+
     def term(self) -> Term:
         t = self.peek()
-        if t.kind != "name":
-            self.fail(f"expected a term, found {t.value!r}")
-        if t.value in RESERVED:
-            self.fail(f"{t.value!r} is a reserved word")
-        name = self.next().value
+        if t[:1] not in _NAME_START:
+            self.fail(f"expected a term, found {t!r}")
+        if t in RESERVED:
+            self.fail(f"{t!r} is a reserved word")
+        name = self.next()
         if name in self.sig.functions:
             self.expect("(")
-            args = [self.term()]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.term())
+            args = self.term_seq()
             self.expect(")")
             if len(args) != self.sig.functions[name]:
                 self.fail(
@@ -268,13 +263,13 @@ class _Parser:
 
     def var_name(self) -> str:
         t = self.peek()
-        if t.kind != "name":
-            self.fail(f"expected a variable, found {t.value!r}")
-        if t.value in RESERVED:
-            self.fail(f"{t.value!r} is a reserved word")
-        if t.value in self.sig.names():
-            self.fail(f"{t.value!r} is not a variable in this signature")
-        return self.next().value
+        if t[:1] not in _NAME_START:
+            self.fail(f"expected a variable, found {t!r}")
+        if t in RESERVED:
+            self.fail(f"{t!r} is a reserved word")
+        if t in self.names:
+            self.fail(f"{t!r} is not a variable in this signature")
+        return self.next()
 
     def as_var(self, t: Term) -> str:
         if not isinstance(t, Var):
@@ -284,33 +279,33 @@ class _Parser:
 
     def var_seq(self) -> list[str]:
         out = [self.var_name()]
-        while self.peek().kind == ",":
+        while self.peek() == ",":
             self.next()
             out.append(self.var_name())
         return out
 
     def opt_var_seq(self) -> tuple[str, ...]:
         t = self.peek()
-        if t.kind == "name" and t.value not in RESERVED and t.value not in self.sig.names():
+        if t[:1] in _NAME_START and t not in RESERVED and t not in self.names:
             return tuple(self.var_seq())
         return ()
 
     def _sugar(self, s: SugarForm) -> Formula:
-        return desugar(s, self.sig.names())
+        return desugar(s, self.names)
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse against the signature; sugar is eliminated eagerly."""
     p = _Parser(text, sig)
     f = p.formula()
-    if p.peek().kind != "eof":
-        p.fail(f"unexpected trailing input {p.peek().value!r}")
+    if p.peek():
+        p.fail(f"unexpected trailing input {p.peek()!r}")
     return f
 
 
 def parse_term(text: str, sig: Signature) -> Term:
     p = _Parser(text, sig)
     t = p.term()
-    if p.peek().kind != "eof":
-        p.fail(f"unexpected trailing input {p.peek().value!r}")
+    if p.peek():
+        p.fail(f"unexpected trailing input {p.peek()!r}")
     return t

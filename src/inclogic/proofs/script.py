@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..parser import parse_formula, parse_term
-from ..syntax import EMPTY_SIGNATURE, FormulaError, Signature, signature_union
+from ..syntax import EMPTY_SIGNATURE, Formula, FormulaError, Signature, signature_union
 from .kernel import RuleApp, RuleError, RULES, Sequent
 
 
@@ -109,12 +109,16 @@ def parse_script(text: str, sig: Signature = EMPTY_SIGNATURE) -> ProofScript:
     steps: list[Step] = []
     qed: str | None = None
     seen: set[str] = set()
+    # formula text -> Formula under the current signature: context formulas
+    # repeat line after line, so each distinct one is parsed once
+    parsed: dict[str, Formula] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("sig:"):
             sig = _extend_sig(sig, line, lineno)
+            parsed.clear()
             continue
         if line.startswith("qed"):
             target = line[3:].strip()
@@ -126,7 +130,7 @@ def parse_script(text: str, sig: Signature = EMPTY_SIGNATURE) -> ProofScript:
             continue
         if qed is not None:
             raise ScriptError("steps after the qed line", lineno)
-        step = _parse_step(line, sig, lineno, seen)
+        step = _parse_step(line, sig, lineno, seen, parsed)
         steps.append(step)
         seen.add(step.step_id)
     if qed is None:
@@ -152,7 +156,15 @@ def _extend_sig(sig: Signature, line: str, lineno: int) -> Signature:
         raise ScriptError(str(e), lineno) from None
 
 
-def _parse_step(line: str, sig: Signature, lineno: int, seen: set[str]) -> Step:
+def _formula(text: str, sig: Signature, parsed: dict[str, Formula]) -> Formula:
+    f = parsed.get(text)
+    if f is None:
+        f = parsed[text] = parse_formula(text, sig)
+    return f
+
+
+def _parse_step(line: str, sig: Signature, lineno: int, seen: set[str],
+                parsed: dict[str, Formula]) -> Step:
     m = _STEP_RE.match(line)
     if m is None:
         raise ScriptError(f"expected '<id>: ...', got {line!r}", lineno)
@@ -163,7 +175,7 @@ def _parse_step(line: str, sig: Signature, lineno: int, seen: set[str]) -> Step:
     if rest.endswith("assume"):
         formula_text = rest[: -len("assume")].strip()
         try:
-            f = parse_formula(formula_text, sig)
+            f = _formula(formula_text, sig, parsed)
         except FormulaError as e:
             raise ScriptError(str(e), lineno) from None
         return Step(step_id, Sequent(frozenset((f,)), f), None, (), lineno)
@@ -181,12 +193,12 @@ def _parse_step(line: str, sig: Signature, lineno: int, seen: set[str]) -> Step:
     ctx_text, _, concl_text = seq_text.partition("|-")
     try:
         ctx = frozenset(
-            parse_formula(part.strip(), sig)
+            _formula(part.strip(), sig, parsed)
             for part in ctx_text.split(";")
             if part.strip()
         )
-        concl = parse_formula(concl_text.strip(), sig)
-        params = _parse_params(params_text or "", sig)
+        concl = _formula(concl_text.strip(), sig, parsed)
+        params = _parse_params(params_text or "", sig, parsed)
     except FormulaError as e:
         raise ScriptError(str(e), lineno) from None
 
@@ -197,7 +209,7 @@ def _parse_step(line: str, sig: Signature, lineno: int, seen: set[str]) -> Step:
     return Step(step_id, Sequent(ctx, concl), RuleApp(rule_name, params), premises, lineno)
 
 
-def _parse_params(text: str, sig: Signature) -> dict:
+def _parse_params(text: str, sig: Signature, parsed: dict[str, Formula]) -> dict:
     params: dict = {}
     adds: list = []
     for chunk in text.split(";"):
@@ -214,9 +226,9 @@ def _parse_params(text: str, sig: Signature) -> dict:
         if kind == "term":
             params[key] = parse_term(value, sig)
         elif kind == "formula":
-            params[key] = parse_formula(value, sig)
+            params[key] = _formula(value, sig, parsed)
         elif kind == "formula+":
-            adds.append(parse_formula(value, sig))
+            adds.append(_formula(value, sig, parsed))
         elif kind == "var":
             if not re.match(r"^[A-Za-z_][A-Za-z0-9_']*$", value):
                 raise FormulaError(f"parameter {key!r} must be a variable")

@@ -101,10 +101,20 @@ def _fo(model: Model, s: dict[str, str], f: Formula) -> bool:
         return args in model.relations[f.name]
     if isinstance(f, Not):
         return not _fo(model, s, f.body)
-    if isinstance(f, And):
-        return _fo(model, s, f.left) and _fo(model, s, f.right)
-    if isinstance(f, Or):
-        return _fo(model, s, f.left) or _fo(model, s, f.right)
+    if isinstance(f, (And, Or)):
+        # walk a chain of one connective on a stack, left to right, so a long
+        # flat conjunction or disjunction does not recurse once per operand;
+        # the first operand equal to ``decisive`` settles the chain
+        chain, decisive = type(f), isinstance(f, Or)
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if type(g) is chain:
+                stack.append(g.right)
+                stack.append(g.left)
+            elif _fo(model, s, g) is decisive:
+                return decisive
+        return not decisive
     if isinstance(f, Exists):
         return any(_fo(model, {**s, f.var: a}, f.body) for a in model.universe)
     if isinstance(f, Forall):

@@ -158,6 +158,16 @@ def test_eval_flat_conjunction_of_3000(files, capsys):
     assert (code, capsys.readouterr().out.strip()) == (0, "true")
 
 
+@pytest.mark.parametrize("connective, engine",
+                         [(" | ", "fast"), (" | ", "both"), (" & ", "both")])
+def test_eval_flat_chain_of_3000(files, capsys, connective, engine):
+    team = files["tmp"] / "x.team"
+    team.write_text("x\n0\n1\n")
+    code = main(["eval", "--model", files["cycle"], "--team", str(team), "--engine", engine,
+                 "--formula", connective.join(["x = x"] * 3000)])
+    assert (code, capsys.readouterr().out.strip()) == (0, "true")
+
+
 def test_eval_grounding_budget(files, capsys, monkeypatch):
     monkeypatch.setattr(semantics, "MAX_ROWS", 20)
     code = main(["eval", "--model", files["cycle"], "--team", files["empty"],

@@ -4,6 +4,7 @@ from inclogic.parser import parse_formula
 from inclogic.proofs import (
     RuleApp,
     RuleError,
+    ScriptError,
     Sequent,
     apply_rule,
     check_script,
@@ -13,10 +14,13 @@ from inclogic.proofs import (
     mutants,
     parse_script,
 )
+from inclogic.proofs import script as script_module
 from inclogic.proofs.transform import TransformError
 from inclogic.suites import corpus_scripts
 from inclogic.syntax import (
     EMPTY_SIGNATURE,
+    Const,
+    Equals,
     Var,
     weak_neg_of,
 )
@@ -163,6 +167,56 @@ class TestCorpus:
                 assert not check_script(again).accepted, \
                     f"{name}: printed {mutant.description}"
         assert total >= 100
+
+
+class TestScriptMemo:
+    """parse_script parses each distinct formula text once per signature."""
+
+    def test_each_distinct_text_is_parsed_once(self, monkeypatch):
+        calls = []
+
+        def counted(text, sig):
+            calls.append(text)
+            return parse_formula(text, sig)
+
+        monkeypatch.setattr(script_module, "parse_formula", counted)
+        parse_script("1: x = x assume\n2: x = x |- x = x by andE_l(phi = x = x) from 1\n"
+                     "qed 2\n")
+        assert calls == ["x = x"]
+
+    def test_sig_line_clears_the_memo(self):
+        text = "1: c = c assume\nsig: constant c\n2: c = c assume\nqed 2\n"
+        first, second = parse_script(text).steps
+        assert first.sequent.conclusion == Equals(Var("c"), Var("c"))
+        assert second.sequent.conclusion == Equals(Const("c"), Const("c"))
+
+    def test_text_valid_before_a_sig_line_fails_after_it(self):
+        text = "1: A c. c = c assume\nsig: constant c\n2: A c. c = c assume\nqed 2\n"
+        with pytest.raises(ScriptError, match="not a variable") as info:
+            parse_script(text)
+        assert info.value.lineno == 3
+
+    def test_bad_formula_on_a_repeated_context_line(self):
+        text = """1: x = x assume
+2: x = x; y <= z |- x = x by andE_l from 1
+3: x = x; y <= z |- x = x by andE_l from 1
+4: x = x; y <= z; y <= $ |- x = x by andE_l from 1
+qed 4
+"""
+        with pytest.raises(ScriptError, match="^line 4: unexpected character") as info:
+            parse_script(text)
+        assert info.value.lineno == 4
+
+    def test_memo_matches_parsing_each_text_on_its_own(self, monkeypatch):
+        texts = []
+        for _, text in corpus_scripts():
+            script = parse_script(text)
+            texts.append((text, EMPTY_SIGNATURE))
+            texts.extend((format_script(m.script), script.sig) for m in mutants(script))
+        memoised = [parse_script(text, sig) for text, sig in texts]
+        monkeypatch.setattr(script_module, "_formula",
+                            lambda text, sig, parsed: parse_formula(text, sig))
+        assert memoised == [parse_script(text, sig) for text, sig in texts]
 
 
 class TestDerivedRaa:

@@ -100,6 +100,46 @@ class TestParse:
         assert parse_formula("x < y", sig) == Relation("<", (Var("x"), Var("y")))
 
 
+_LT_SIG = Signature({"<": 2, "R": 2}, {"f": 1}, frozenset(("c",)))
+_R_SIG = Signature({"R": 2}, {}, frozenset())
+
+# (signature, text, message, position): each ParseError's exact text and offset
+PARSE_ERRORS = [
+    (_LT_SIG, "x = y  $", "unexpected character at position 5: ...'  $'", 5),
+    (_LT_SIG, "x = y$", "unexpected character at position 5: ...'$'", 5),
+    (_LT_SIG, "x = y &", "expected a formula, found '' at position 7: ...''", 7),
+    (_LT_SIG, "< (x, y)", "expected a formula, found '<' at position 0: ...'< (x, y)'", 0),
+    (_LT_SIG, "E bot. x = x", "'bot' is a reserved word at position 2: ...'bot. x = x'", 2),
+    (_LT_SIG, "x <= ups", "'ups' is a reserved word at position 5: ...'ups'", 5),
+    (_LT_SIG, "A c. x = x",
+     "'c' is not a variable in this signature at position 2: ...'c. x = x'", 2),
+    (_LT_SIG, "R(x, R)", "relation 'R' used as a term at position 6: ...')'", 6),
+    (_LT_SIG, "R(x)", "relation 'R' expects 2 arguments, got 1 at position 4: ...''", 4),
+    (_LT_SIG, "f(x, y) = x",
+     "function 'f' expects 1 arguments, got 2 at position 8: ...'= x'", 8),
+    (_LT_SIG, "x = y y", "unexpected trailing input 'y' at position 6: ...'y'", 6),
+    (_LT_SIG, "(x = y))", "unexpected trailing input ')' at position 7: ...')'", 7),
+    (_R_SIG, "x < y",
+     "infix '<' used but relation '<' is not declared at position 4: ...'y'", 4),
+    (_LT_SIG, "x, y <= z",
+     "inclusion atom sides must have equal length at position 9: ...''", 9),
+    (_LT_SIG, "[x, c] <= [y]",
+     "term inclusion sides must have equal length at position 13: ...''", 13),
+    (_LT_SIG, "[x] = [y]", "expected 'le', found '=' at position 4: ...'= [y]'", 4),
+    (_LT_SIG, "c <= x", "inclusion and anonymity atoms take variables only;"
+     " use [..] <= [..] for terms at position 2: ...'<= x'", 2),
+    (_LT_SIG, "", "expected a formula, found '' at position 0: ...''", 0),
+    (_LT_SIG, "   ", "expected a formula, found '' at position 3: ...''", 3),
+]
+
+
+@pytest.mark.parametrize("sig, text, message, pos", PARSE_ERRORS)
+def test_parse_error_message_and_position(sig, text, message, pos):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text, sig)
+    assert (str(info.value), info.value.pos) == (message, pos)
+
+
 class TestFreeVars:
     def test_inclusion_clause(self):
         assert free_vars(parse("x <= y")) == {"x", "y"}
