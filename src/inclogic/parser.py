@@ -98,16 +98,16 @@ class _Parser:
             self.i += 1
         return t
 
-    def expect(self, tok: str, shown: str | None = None) -> str:
-        """Consume ``tok``; a mismatch names it as ``shown`` when given."""
+    def expect(self, tok: str) -> str:
         t = self.peek()
         if t != tok:
-            self.fail(f"expected {shown or tok!r}, found {t!r}")
+            self.fail(f"expected {tok!r}, found {t!r}")
         return self.next()
 
-    def fail(self, message: str):
-        starts = _scan(self.text)[0]
-        pos = starts[self.i] if self.i < len(starts) else len(self.text)
+    def fail(self, message: str, at: int | None = None):
+        """Raise at token ``at``, by default the next one."""
+        i, starts = self.i if at is None else at, _scan(self.text)[0]
+        pos = starts[i] if i < len(starts) else len(self.text)
         raise ParseError(message, pos, self.text)
 
     # -- grammar
@@ -173,21 +173,17 @@ class _Parser:
         self.fail(f"expected a formula, found {t!r}")
 
     def relation_atom(self) -> Formula:
-        name = self.next()
+        at, name = self.i, self.next()
         arity = self.sig.relations[name]
-        args: tuple[Term, ...] = ()
+        args: list[Term] = []
         if self.peek() == "(" or arity > 0:
             self.expect("(")
             if self.peek() != ")":
-                parts = [self.term()]
-                while self.peek() == ",":
-                    self.next()
-                    parts.append(self.term())
-                args = tuple(parts)
+                args = self.term_seq()
             self.expect(")")
         if len(args) != arity:
-            self.fail(f"relation {name!r} expects {arity} arguments, got {len(args)}")
-        return Relation(name, args)
+            self.fail(f"relation {name!r} expects {arity} arguments, got {len(args)}", at)
+        return Relation(name, tuple(args))
 
     def term_headed(self) -> Formula:
         """Atoms that start with a term: equality, infix <, inclusion, ups."""
@@ -223,7 +219,7 @@ class _Parser:
         self.expect("[")
         lhs = self.term_seq()
         self.expect("]")
-        self.expect("<=", "le")
+        self.expect("<=")
         self.expect("[")
         rhs = self.term_seq()
         self.expect("]")
@@ -244,6 +240,8 @@ class _Parser:
             self.fail(f"expected a term, found {t!r}")
         if t in RESERVED:
             self.fail(f"{t!r} is a reserved word")
+        if t in self.sig.relations:
+            self.fail(f"relation {t!r} used as a term")
         name = self.next()
         if name in self.sig.functions:
             self.expect("(")
@@ -257,8 +255,6 @@ class _Parser:
             return App(name, tuple(args))
         if name in self.sig.constants:
             return Const(name)
-        if name in self.sig.relations:
-            self.fail(f"relation {name!r} used as a term")
         return Var(name)
 
     def var_name(self) -> str:

@@ -339,7 +339,10 @@ def naive_cost_estimate(f: Formula, rows: int, universe: int,
 # ---------------------------------------------------------------------------
 # Maximal-subteam engine
 
-MAX_ROWS = 1_000_000  # the most candidate rows max_subteam grounds in one call
+# The most candidate rows (a quantifier body's keys x universe) max_subteam grounds
+# in one call; a body is grounded, and its dying rows spread, only at the values
+# that its relation atom or equality allows.
+MAX_ROWS = 1_000_000
 
 
 def max_subteam(model: Model, team: Team, f: Formula) -> Team:
@@ -347,8 +350,11 @@ def max_subteam(model: Model, team: Team, f: Formula) -> Team:
 
     Exists and is unique because inclusion-logic formulas are closed under
     unions of satisfying teams.  ``f`` is grounded top down into cells, the
-    rows of an ``And`` chain that pass its first-order conjuncts; rows are
-    then deleted to the greatest fixpoint in time linear in the grounding.
+    rows of an ``And`` chain that pass its first-order conjuncts, a quantifier
+    body only at the values its relation atom or equality allows (``MAX_ROWS``
+    still counts candidate rows).  Rows are then deleted to the greatest
+    fixpoint in time linear in the grounding, dying rows spreading over the
+    same values.
     """
     _check_input(team, f)
     universe = model.universe
@@ -357,21 +363,23 @@ def max_subteam(model: Model, team: Team, f: Formula) -> Team:
     stack = [(f, team.domain, team.rows, None, root)]
     while stack:
         g, dom, rows, at, siblings = stack.pop()
-        if at is not None:  # ``rows`` are keys to extend at ``at``
-            rows = (k[:at] + (a,) + k[at:] for k in rows for a in universe)
-        parts, incs, branches = [g], [], []
+        parts, fo, incs, branches = [g], [], [], []
         while parts:
             h = parts.pop()
             if isinstance(h, And):
                 parts += (h.right, h.left)
-            elif h._first_order:
-                # filter before anything below this cell is grounded
-                test = _row_test(model, dom, h)
-                rows = [r for r in rows if test(r)]
             else:
-                (incs if isinstance(h, Inclusion) else branches).append(h)
-        # live rows, the watches they feed, and whether deaths matter below
-        cell = (set(rows), [], not g._first_order)
+                (fo if h._first_order else incs if isinstance(h, Inclusion)
+                 else branches).append(h)
+        values = None if at is None else _values(model, dom, at, fo)
+        if values:  # ``rows`` are keys to extend at ``at``
+            rows = (k[:at] + (a,) + k[at:] for k in rows for a in values(k))
+        for h in fo:
+            # filter before anything below this cell is grounded
+            test = _row_test(model, dom, h)
+            rows = [r for r in rows if test(r)]
+        # live rows, the watches they feed, whether deaths matter below, ``values``
+        cell = (set(rows), [], not g._first_order, values)
         siblings.append(cell)
         for h in incs:
             # AC-4: a row lives while some row supports its left value
@@ -398,9 +406,9 @@ def max_subteam(model: Model, team: Team, f: Formula) -> Team:
                 raise GuardExceeded(f"grounding exceeds {MAX_ROWS} rows")
     for parent, kids, at, pat, need in edges:
         # a parent row needs ``need`` live child rows of its key, a child row one
-        ckey, pkey = _key(at), _key(pat)
-        _watch(kids, ckey, [parent], pkey, _spread([parent], pat, universe), need, dead)
-        _watch([parent], pkey, [], None, _spread([k for k in kids if k[2]], at, universe), 1, dead)
+        ckey, pkey, below = _key(at), _key(pat), [k for k in kids if k[2]]
+        _watch(kids, ckey, [parent], pkey, _spread([parent], pat, lambda k: universe), need, dead)
+        _watch([parent], pkey, [], None, _spread(below, at, kids[0][3]), 1, dead)
     while dead:
         cell, row = dead.pop()
         if row in cell[0]:
@@ -439,11 +447,37 @@ def _key(at: int | None):
     return (lambda r: r) if at is None else (lambda r: r[:at] + r[at + 1:])
 
 
-def _spread(cells: list, at: int | None, universe: tuple[str, ...]):
-    """Group key -> the rows of ``cells`` with that key."""
+def _spread(cells: list, at: int | None, values):
+    """Group key -> the rows of ``cells`` with that key and one of ``values(key)`` at ``at``."""
     if at is None:
         return lambda k: [(c, k) for c in cells]
-    return lambda k: [(c, k[:at] + (a,) + k[at:]) for c in cells for a in universe]
+    return lambda k: [(c, k[:at] + (a,) + k[at:]) for c in cells for a in values(k)]
+
+
+def _values(model: Model, dom: tuple[str, ...], at: int, fo: list):
+    """Key -> the values the variable at ``at`` may take in rows over ``dom``
+    passing the first-order conjuncts ``fo``: read off the first relation atom
+    over variables that names it (anywhere, repeats allowed), else the first
+    equality with another variable, as the diagonal, else every element."""
+    var = dom[at]
+    atoms = [h for h in fo if var in h._free_vars and isinstance(h, (Relation, Equals))]
+    for h in sorted(atoms, key=lambda h: isinstance(h, Equals)):  # relation atoms first
+        terms = h.args if isinstance(h, Relation) else (h.left, h.right)
+        names = [t.name for t in terms if isinstance(t, Var)]
+        if len(names) == len(terms) and (isinstance(h, Relation) or names[0] != names[1]):
+            table = (model.relations[h.name] if isinstance(h, Relation)
+                     else [(a, a) for a in model.universe])
+            kdom, same = dom[:at] + dom[at + 1:], [i for i, n in enumerate(names) if n == var]
+            other = [i for i, n in enumerate(names) if n != var]
+            if len(same) > 1:
+                table = [t for t in table if len({t[i] for i in same}) == 1]
+            index = defaultdict(list)  # values at ``other`` -> values of ``var``
+            tget = itemgetter(*other) if other else lambda t: ()
+            kget = itemgetter(*[kdom.index(names[i]) for i in other]) if other else lambda k: ()
+            for t in table:
+                index[tget(t)].append(t[same[0]])
+            return lambda k: index.get(kget(k), ())
+    return lambda k: model.universe
 
 
 def _row_test(model: Model, dom: tuple[str, ...], f: Formula):

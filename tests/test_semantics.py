@@ -286,6 +286,7 @@ def _fixpoint_max_subteam(model: Model, team: Team, f: Formula) -> Team:
 
 
 GRAPH_SIG = Signature({"R": 2}, {}, frozenset())
+GUARD_SIG = Signature({"R": 2, "P": 1}, {}, frozenset())
 
 
 def _digraph(rng: random.Random, shape: str, n: int):
@@ -346,3 +347,40 @@ class TestAgainstFixpoint:
         best = max_subteam(model, Team(("x", "y"), edges), f)
         assert best.rows == frozenset() and len(edges) == 499
         assert time.perf_counter() - start < 2.0
+
+    # every way a quantifier's body values are chosen: a relation atom with
+    # the bound variable first, second, twice or alone, an equality with it on
+    # either side, a re-quantified variable, a Forall body, nested guards, a
+    # relation atom without it, and bodies with no usable conjunct at all
+    @pytest.mark.parametrize("text", [
+        "E y. (R(x,y) & y <= x)", "E y. (R(y,x) & x <= y)", "E y. (R(y,y) & y <= x)",
+        "E y. (P(y) & x <= y)", "E y. (z = y & y <= x)", "E y. (y = z & x, y <= z, x)",
+        "E x. (R(y,x) & x <= y)", "A y. (R(x,y) & y <= x)",
+        "E y. (R(x,y) & E z. (R(y,z) & z <= x))", "E y. (y = z & R(x,y) & x <= y)",
+        "E y. (R(x,z) & z = y & y <= x)", "A y. (R(y,x) | x <= y)",
+        "E y. (~R(x,y) & y <= x)", "E y. (y = y & y <= x)",
+        "E y. ((R(x,y) | z = y) & y <= x)", "E y. (R(x,y) & y <= x) | A y. (P(y) & y <= z)",
+    ])
+    def test_guarded_quantifier(self, text):
+        rng = random.Random(text)
+        f = parse_formula(text, GUARD_SIG)
+        for _ in range(60):
+            universe = tuple(map(str, range(rng.randint(2, 5))))
+            pairs = list(itertools.product(universe, repeat=2))
+            model = Model(GUARD_SIG, universe, {
+                "R": frozenset(rng.sample(pairs, rng.randint(0, len(pairs)))),
+                "P": frozenset((a,) for a in universe if rng.random() < 0.5)}, {}, {})
+            # the free variables alone, and x, y, z, which re-quantifies y
+            for domain in (tuple(sorted(free_vars(f))), ("x", "y", "z")):
+                team = gen_team(rng, model, domain, max_rows=12)
+                assert max_subteam(model, team, f) == _fixpoint_max_subteam(model, team, f)
+
+    @pytest.mark.parametrize("text", ["E y. (R(x,y) & y <= x)", "E y. (R(y,x) & x <= y)"])
+    def test_guarded_chain_is_linear(self, text):
+        # 999 nodes: 998,001 candidate rows, just inside the grounding budget
+        model, _ = _digraph(random.Random(6), "chain", 999)
+        nodes = Team(("x",), frozenset((v,) for v in model.universe))
+        f = parse_formula(text, GRAPH_SIG)
+        start = time.perf_counter()
+        assert max_subteam(model, nodes, f).rows == frozenset()
+        assert time.perf_counter() - start < 0.25

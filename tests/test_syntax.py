@@ -113,8 +113,8 @@ PARSE_ERRORS = [
     (_LT_SIG, "x <= ups", "'ups' is a reserved word at position 5: ...'ups'", 5),
     (_LT_SIG, "A c. x = x",
      "'c' is not a variable in this signature at position 2: ...'c. x = x'", 2),
-    (_LT_SIG, "R(x, R)", "relation 'R' used as a term at position 6: ...')'", 6),
-    (_LT_SIG, "R(x)", "relation 'R' expects 2 arguments, got 1 at position 4: ...''", 4),
+    (_LT_SIG, "R(x, R)", "relation 'R' used as a term at position 5: ...'R)'", 5),
+    (_LT_SIG, "R(x)", "relation 'R' expects 2 arguments, got 1 at position 0: ...'R(x)'", 0),
     (_LT_SIG, "f(x, y) = x",
      "function 'f' expects 1 arguments, got 2 at position 8: ...'= x'", 8),
     (_LT_SIG, "x = y y", "unexpected trailing input 'y' at position 6: ...'y'", 6),
@@ -125,7 +125,7 @@ PARSE_ERRORS = [
      "inclusion atom sides must have equal length at position 9: ...''", 9),
     (_LT_SIG, "[x, c] <= [y]",
      "term inclusion sides must have equal length at position 13: ...''", 13),
-    (_LT_SIG, "[x] = [y]", "expected 'le', found '=' at position 4: ...'= [y]'", 4),
+    (_LT_SIG, "[x] = [y]", "expected '<=', found '=' at position 4: ...'= [y]'", 4),
     (_LT_SIG, "c <= x", "inclusion and anonymity atoms take variables only;"
      " use [..] <= [..] for terms at position 2: ...'<= x'", 2),
     (_LT_SIG, "", "expected a formula, found '' at position 0: ...''", 0),
