@@ -53,18 +53,20 @@ class Output:
             print(text)
 
 
-def _load_model(path: str | None) -> Model | None:
-    if path is None:
-        return None
+def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
-        return parse_model(handle.read())
+        try:
+            return handle.read()
+        except UnicodeDecodeError as e:
+            raise OSError(f"cannot read {path!r} as UTF-8: {e}") from None
+
+
+def _load_model(path: str | None) -> Model | None:
+    return None if path is None else parse_model(_read(path))
 
 
 def _formula_text(args) -> str:
-    if args.formula is not None:
-        return args.formula
-    with open(args.formula_file, encoding="utf-8") as handle:
-        return handle.read()
+    return args.formula if args.formula is not None else _read(args.formula_file)
 
 
 def _signature(model: Model | None) -> Signature:
@@ -155,8 +157,7 @@ def _dispatch(args, out: Output) -> int:
     if args.command == "eval":
         model = _load_model(args.model)
         assert model is not None
-        with open(args.team, encoding="utf-8") as handle:
-            team = parse_team(handle.read())
+        team = parse_team(_read(args.team))
         check_team_in_model(team, model)
         f = parse_formula(_formula_text(args), model.sig)
         try:
@@ -217,8 +218,7 @@ def _dispatch(args, out: Output) -> int:
 
     if args.command == "check":
         model = _load_model(args.model)
-        with open(args.script, encoding="utf-8") as handle:
-            script = parse_script(handle.read(), _signature(model))
+        script = parse_script(_read(args.script), _signature(model))
         report = check_script(script)
         lines = [
             f"{status.step_id}: {'ok' if status.ok else 'FAIL'} ({status.message})"

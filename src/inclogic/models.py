@@ -19,6 +19,7 @@ import io
 import itertools
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .syntax import Signature
@@ -46,9 +47,10 @@ class Model:
             rows = self.relations.get(name)
             if rows is None:
                 raise ModelError(f"missing table for relation {name!r}")
-            for row in rows:
-                if len(row) != arity or not set(row) <= elems:
-                    raise ModelError(f"bad tuple {row!r} in relation {name!r}")
+            if not (set(map(len, rows)) <= {arity}
+                    and elems.issuperset(itertools.chain.from_iterable(rows))):
+                row = next(r for r in rows if len(r) != arity or not set(r) <= elems)
+                raise ModelError(f"bad tuple {row!r} in relation {name!r}")
         for name, arity in self.sig.functions.items():
             table = self.functions.get(name)
             if table is None:
@@ -122,7 +124,7 @@ def check_team(team: Team) -> Team:
     matches the domain; raise ModelError otherwise."""
     if tuple(sorted(set(team.domain))) != team.domain:
         raise ModelError("team domain must be sorted, without repeated variables")
-    if any(len(row) != len(team.domain) for row in team.rows):
+    if not set(map(len, team.rows)) <= {len(team.domain)}:
         raise ModelError("team row length does not match domain")
     return team
 
@@ -134,16 +136,20 @@ _DECL_RE = re.compile(
     r"^(universe|relation|function|constant)\s*(.*)$"
 )
 _NAME = r"(?:[A-Za-z_][A-Za-z0-9_']*|<)"
+_HEAD_RE = re.compile(rf"^({_NAME})\s*/\s*(\d+)\s*:\s*(.*)$")
+_TUPLE_RE = re.compile(r"\(([^()]*)\)")
+_ENTRY_RE = re.compile(r"^\(([^()]*)\)->(\S+)$")
 
 
 def parse_model(text: str) -> Model:
-    """Parse a model file; the declarations define the signature."""
+    """Parse a model file; its declarations, each made once, define the signature."""
     universe: list[str] = []
     relations: dict[str, frozenset[tuple[str, ...]]] = {}
     rel_arities: dict[str, int] = {}
     functions: dict[str, dict[tuple[str, ...], str]] = {}
     fun_arities: dict[str, int] = {}
     constants: dict[str, str] = {}
+    declared: set[tuple[str, str]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -157,15 +163,14 @@ def parse_model(text: str) -> Model:
             if kind == "universe":
                 if not rest.startswith(":"):
                     raise ModelError("expected 'universe: a b c'")
-                universe = rest[1:].split()
+                name, universe = "", rest[1:].split()
             elif kind == "relation":
                 name, arity, body = _parse_decl_head(rest)
-                tuples = frozenset(_parse_tuples(body, arity))
-                relations[name] = tuples
+                relations[name] = frozenset(_parse_tuples(body, arity))
                 rel_arities[name] = arity
             elif kind == "function":
                 name, arity, body = _parse_decl_head(rest)
-                functions[name] = dict(_parse_map_entries(body, arity))
+                functions[name] = _parse_map_entries(body, arity)
                 fun_arities[name] = arity
             else:
                 name, _, value = rest.partition(":")
@@ -173,6 +178,10 @@ def parse_model(text: str) -> Model:
                 if not name or not value:
                     raise ModelError("expected 'constant NAME: elem'")
                 constants[name] = value
+            if (kind, name) in declared:
+                raise ModelError(f"{kind} {name!r} declared twice" if name
+                                 else "universe declared twice")
+            declared.add((kind, name))
         except ModelError as e:
             raise ModelError(f"line {lineno}: {e}") from None
 
@@ -181,32 +190,36 @@ def parse_model(text: str) -> Model:
 
 
 def _parse_decl_head(rest: str) -> tuple[str, int, str]:
-    m = re.match(rf"^({_NAME})\s*/\s*(\d+)\s*:\s*(.*)$", rest)
+    m = _HEAD_RE.match(rest)
     if m is None:
         raise ModelError(f"expected 'NAME/ARITY: ...', got {rest!r}")
     return m.group(1), int(m.group(2)), m.group(3)
 
 
 def _parse_tuples(body: str, arity: int) -> Iterator[tuple[str, ...]]:
-    for chunk in re.findall(r"\(([^()]*)\)", body):
-        items = tuple(x.strip() for x in chunk.split(",")) if chunk.strip() else ()
+    for chunk in _TUPLE_RE.findall(body):
+        items = tuple(map(str.strip, chunk.split(","))) if chunk.strip() else ()
         if len(items) != arity:
             raise ModelError(f"tuple ({chunk}) does not match arity {arity}")
         yield items
-    stray = re.sub(r"\([^()]*\)", "", body).strip()
+    stray = _TUPLE_RE.sub("", body).strip()
     if stray:
         raise ModelError(f"unexpected text {stray!r} in table")
 
 
-def _parse_map_entries(body: str, arity: int) -> Iterator[tuple[tuple[str, ...], str]]:
+def _parse_map_entries(body: str, arity: int) -> dict[tuple[str, ...], str]:
+    table: dict[tuple[str, ...], str] = {}
     for part in body.split():
-        m = re.match(r"^\(([^()]*)\)->(\S+)$", part)
+        m = _ENTRY_RE.match(part)
         if m is None:
             raise ModelError(f"expected '(args)->value', got {part!r}")
-        args = tuple(x.strip() for x in m.group(1).split(","))
+        args = tuple(map(str.strip, m.group(1).split(",")))
         if len(args) != arity:
             raise ModelError(f"entry {part!r} does not match arity {arity}")
-        yield args, m.group(2)
+        if args in table:
+            raise ModelError(f"entry {part!r} repeats the arguments {args!r}")
+        table[args] = m.group(2)
+    return table
 
 
 def format_model(model: Model) -> str:
@@ -228,27 +241,32 @@ def format_model(model: Model) -> str:
 # Team files
 
 def parse_team(text: str) -> Team:
-    stripped = text.strip()
-    if stripped == "<empty-domain>":
+    if text.strip() == "<empty-domain>":
         return SINGLETON_EMPTY_DOMAIN
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if "".join(row).strip()]
+    except csv.Error as e:
+        raise ModelError(f"team file is not valid CSV: {e}") from None
     if not rows:
         raise ModelError("team file needs a header row (or the line '<empty-domain>')")
     header = [h.strip() for h in rows[0]]
-    if len(set(header)) != len(header):
+    width, body = len(header), rows[1:]
+    if len(set(header)) != width:
         raise ModelError("duplicate variables in team header")
-    body = []
-    for row in rows[1:]:
-        if len(row) != len(header):
-            raise ModelError(f"team row {row!r} does not match header")
-        body.append({v: cell.strip() for v, cell in zip(header, row)})
-    if not body:
-        return check_team(Team(tuple(sorted(header)), frozenset()))
-    return Team.from_assignments(body, domain=header)
+    if not set(map(len, body)) <= {width}:
+        row = next(r for r in body if len(r) != width)
+        raise ModelError(f"team row {row!r} does not match header")
+    order = sorted(range(width), key=header.__getitem__)
+    if order != list(range(width)):
+        body = map(itemgetter(*order), body)
+    rows = frozenset([tuple(map(str.strip, row)) for row in body])
+    return check_team(Team(tuple(sorted(header)), rows))
 
 
 def format_team(team: Team) -> str:
+    """Write ``team`` as a team file that ``parse_team`` reads back, except
+    the empty team over the empty domain, which has no file form: it is
+    written as an empty line, which ``parse_team`` rejects."""
     if team.domain == () and team.rows:
         return "<empty-domain>\n"
     out = io.StringIO()

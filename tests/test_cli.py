@@ -207,3 +207,57 @@ def test_corpus_quick(files, capsys):
     assert main(["corpus", "--quick"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 9
+
+
+def test_eval_oversized_team_field(files, capsys):
+    team = files["tmp"] / "long.team"
+    team.write_text("x\n" + "0" * 140_000 + "\n")
+    code = main(["eval", "--model", files["cycle"], "--team", str(team), "--formula", "x = x"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("error: team file is not valid CSV:"
+                            " field larger than field limit (131072)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--formula-file", "BAD"],
+    ["eval", "--model", "BAD", "--team", "TEAM", "--formula", "x = x"],
+    ["eval", "--model", "MODEL", "--team", "BAD", "--formula", "x = x"],
+    ["nf", "--formula", "x <= y", "--model", "BAD"],
+    ["approx", "--formula-file", "BAD"],
+    ["check", "BAD"],
+    ["check", "SCRIPT", "--model", "BAD"],
+])
+def test_file_that_is_not_utf8(files, capsys, argv):
+    bad = files["tmp"] / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\n")
+    team = files["tmp"] / "x.team"
+    team.write_text("x\n0\n")
+    script = files["tmp"] / "s.ndp"
+    script.write_text("1: x = x assume\nqed 1\n")
+    paths = {"BAD": str(bad), "TEAM": str(team), "MODEL": files["cycle"],
+             "SCRIPT": str(script)}
+    code = main([paths.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot read {str(bad)!r} as UTF-8:")
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("model, message", [
+    ("universe: 0 1\nrelation R/1: (0)\nrelation R/1: (1)",
+     "line 3: relation 'R' declared twice"),
+    ("universe: 0 1\nrelation R/1: (0)\nrelation R/2: (0,1)",
+     "line 3: relation 'R' declared twice"),
+    ("universe: 0 1\nconstant c: 0\nconstant c: 1", "line 3: constant 'c' declared twice"),
+    ("universe: 0 1\nfunction f/1: (0)->0 (0)->1 (1)->0",
+     "line 2: entry '(0)->1' repeats the arguments ('0',)"),
+    ("universe: a b\nuniverse: 0 1", "line 2: universe declared twice"),
+])
+def test_eval_repeated_declaration(files, capsys, model, message):
+    path = files["tmp"] / "m.mod"
+    path.write_text(model + "\n")
+    team = files["tmp"] / "x.team"
+    team.write_text("x\n0\n1\n")
+    code = main(["eval", "--model", str(path), "--team", str(team), "--formula", "x = x"])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")

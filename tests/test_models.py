@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inclogic import check_team
 from inclogic.models import (
+    Model,
     ModelError,
     SINGLETON_EMPTY_DOMAIN,
     Team,
@@ -12,6 +16,8 @@ from inclogic.models import (
 )
 from inclogic.parser import parse_formula
 from inclogic.semantics import eval_fast, eval_naive, max_subteam
+from inclogic.syntax import Signature
+
 MODEL_TEXT = """\
 # a small ordered structure
 universe: a b c
@@ -99,3 +105,174 @@ def test_engines_check_the_team(team):
 def test_duplicate_domain_rejected():
     with pytest.raises(ModelError):
         Team.from_assignments([{"x": "0"}], domain=["x", "x"])
+
+
+def _model(tables):
+    """A model over {a, b} with signature R/2, f/1, built directly from its
+    (relations, functions) tables, so that they need not match the signature."""
+    relations, functions = tables
+    return Model(Signature({"R": 2}, {"f": 1}, frozenset()), ("a", "b"),
+                 relations, functions, {})
+
+
+_R, _F = {"R": frozenset({("a", "b")})}, {"f": {("a",): "b", ("b",): "a"}}
+
+
+_LONG_FIELD = "x\n" + "a" * 140_000 + "\n"
+
+# Every raise site of the model and team readers, with its exact message.
+MODEL_ERRORS = [
+    # parse_model
+    (parse_model, "universe: a b\nfoo bar", "line 2: unrecognized declaration 'foo bar'"),
+    (parse_model, "universe a b", "line 1: expected 'universe: a b c'"),
+    (parse_model, "universe: a b\nconstant c", "line 2: expected 'constant NAME: elem'"),
+    (parse_model, "universe: a b\nconstant : a", "line 2: expected 'constant NAME: elem'"),
+    (parse_model, "universe: a b\nuniverse: a b c", "line 2: universe declared twice"),
+    (parse_model, "universe: a b\nrelation R/1: (a)\nrelation R/1: (b)",
+     "line 3: relation 'R' declared twice"),
+    (parse_model, "universe: a b\nrelation R/1: (a)\nrelation R/2: (a,b)",
+     "line 3: relation 'R' declared twice"),
+    (parse_model, "universe: a b\nfunction f/1: (a)->a (b)->a\nfunction f/1: (a)->b (b)->b",
+     "line 3: function 'f' declared twice"),
+    (parse_model, "universe: a b\nconstant c: a\nconstant c: b",
+     "line 3: constant 'c' declared twice"),
+    # _parse_decl_head
+    (parse_model, "universe: a b\nrelation R: (a)",
+     "line 2: expected 'NAME/ARITY: ...', got 'R: (a)'"),
+    (parse_model, "universe: a b\nfunction 1f/1: (a)->a",
+     "line 2: expected 'NAME/ARITY: ...', got '1f/1: (a)->a'"),
+    # _parse_tuples
+    (parse_model, "universe: a b\nrelation R/2: (a,b) (a)",
+     "line 2: tuple (a) does not match arity 2"),
+    (parse_model, "universe: a b\nrelation R/1: ()", "line 2: tuple () does not match arity 1"),
+    (parse_model, "universe: a b\nrelation R/1: (a) b (b)",
+     "line 2: unexpected text 'b' in table"),
+    # _parse_map_entries
+    (parse_model, "universe: a b\nfunction f/1: a->b",
+     "line 2: expected '(args)->value', got 'a->b'"),
+    (parse_model, "universe: a b\nfunction f/1: (a,b)->a",
+     "line 2: entry '(a,b)->a' does not match arity 1"),
+    (parse_model, "universe: a b\nfunction f/1: (a)->a (a)->b (b)->a",
+     "line 2: entry '(a)->b' repeats the arguments ('a',)"),
+    (parse_model, "universe: a b\nfunction f/1: (a)->a (b)->a (a)->a",
+     "line 2: entry '(a)->a' repeats the arguments ('a',)"),
+    # Model.__post_init__
+    (parse_model, "universe: a", "model universe must have at least two elements"),
+    (parse_model, "", "model universe must have at least two elements"),
+    (parse_model, "universe: a b a", "duplicate universe elements"),
+    (_model, ({}, _F), "missing table for relation 'R'"),
+    (parse_model, "universe: a b\nrelation R/1: (a) (c)", "bad tuple ('c',) in relation 'R'"),
+    (_model, ({"R": frozenset({("a", "b"), ("a",)})}, _F), "bad tuple ('a',) in relation 'R'"),
+    (_model, (_R, {}), "missing table for function 'f'"),
+    (parse_model, "universe: a b\nfunction f/1: (a)->b",
+     "function 'f' not total: missing ('b',)"),
+    (parse_model, "universe: a b\nfunction f/1: (a)->b (b)->c",
+     "bad entry ('b',)->'c' in function 'f'"),
+    (parse_model, "universe: a b\nfunction f/1: (a)->b (b)->a (c)->a",
+     "bad entry ('c',)->'a' in function 'f'"),
+    (parse_model, "universe: a b\nconstant c: z", "constant 'c' has no interpretation"),
+    # parse_team
+    (parse_team, "", "team file needs a header row (or the line '<empty-domain>')"),
+    (parse_team, "\n  \n , \n", "team file needs a header row (or the line '<empty-domain>')"),
+    (parse_team, "x,y, x\n", "duplicate variables in team header"),
+    (parse_team, "x,y\n0,1\n\n0\n1,0\n", "team row ['0'] does not match header"),
+    (parse_team, "y,x\n0,1\n0, 1 ,2\n", "team row ['0', ' 1 ', '2'] does not match header"),
+    (parse_team, _LONG_FIELD,
+     "team file is not valid CSV: field larger than field limit (131072)"),
+    # check_team
+    (check_team, Team(("y", "x"), frozenset()),
+     "team domain must be sorted, without repeated variables"),
+    (check_team, Team(("x", "x"), frozenset()),
+     "team domain must be sorted, without repeated variables"),
+    (check_team, Team(("x", "y"), frozenset({("0", "1"), ("0",)})),
+     "team row length does not match domain"),
+]
+
+
+@pytest.mark.parametrize("read, data, message", MODEL_ERRORS)
+def test_model_error_message(read, data, message):
+    with pytest.raises(ModelError) as info:
+        read(data)
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Round trips through the file formats
+
+_ELEM = st.text("ab01_.-", min_size=1, max_size=3)
+_NAME = st.one_of(st.just("<"), st.from_regex(r"[A-Za-z_][A-Za-z0-9_']{0,3}", fullmatch=True))
+
+
+@st.composite
+def _models(draw):
+    universe = draw(st.lists(_ELEM, min_size=2, max_size=4, unique=True))
+    elem = st.sampled_from(universe)
+    arities: tuple[dict, dict] = ({}, {})
+    relations, functions, constants = {}, {}, {}
+    for name in draw(st.lists(_NAME, max_size=5, unique=True)):
+        kind = draw(st.sampled_from(("relation", "function", "constant")))
+        if kind == "relation":
+            arity = arities[0][name] = draw(st.integers(0, 3))
+            relations[name] = frozenset(draw(st.lists(st.tuples(*[elem] * arity),
+                                                      max_size=6)))
+        elif kind == "function":
+            arity = arities[1][name] = draw(st.integers(1, 2))
+            functions[name] = {args: draw(elem)
+                               for args in itertools.product(universe, repeat=arity)}
+        else:
+            constants[name] = draw(elem)
+    sig = Signature(arities[0], arities[1], frozenset(constants))
+    return Model(sig, tuple(universe), relations, functions, constants)
+
+
+@given(_models())
+@settings(max_examples=200, deadline=None)
+def test_model_file_roundtrip(model):
+    assert parse_model(format_model(model)) == model
+
+
+_VAR = st.from_regex(r"[a-z][a-z0-9_]{0,2}", fullmatch=True)
+_CELL = st.text('ab1,"; ', min_size=1, max_size=3).filter(lambda c: c == c.strip())
+
+
+@st.composite
+def _teams(draw):
+    """A checked team other than the empty team over the empty domain."""
+    domain = tuple(sorted(draw(st.lists(_VAR, max_size=3, unique=True))))
+    row = st.tuples(*[_CELL] * len(domain))
+    rows = frozenset(draw(st.lists(row, min_size=0 if domain else 1, max_size=5)))
+    return check_team(Team(domain, rows))
+
+
+@given(_teams())
+@settings(max_examples=200, deadline=None)
+def test_team_file_roundtrip(team):
+    assert parse_team(format_team(team)) == team
+
+
+@given(_teams().filter(lambda t: t.domain), st.data())
+@settings(max_examples=200, deadline=None)
+def test_team_file_roundtrip_variants(team, data):
+    """Shuffled columns, padded or quoted cells and blank lines read back
+    as the same team."""
+    order = data.draw(st.permutations(range(len(team.domain))))
+
+    def cell(text):
+        pad = " " * data.draw(st.integers(0, 2))
+        if data.draw(st.booleans()) or "," in text or '"' in text:
+            return '"' + pad + text.replace('"', '""') + pad + '"'
+        return pad + text + pad
+
+    lines = [",".join(cell(row[i]) for i in order)
+             for row in [team.domain, *sorted(team.rows)]]
+    for _ in range(data.draw(st.integers(0, 3))):
+        blank = data.draw(st.sampled_from(["", "  ", " , ", ","]))
+        lines.insert(data.draw(st.integers(0, len(lines))), blank)
+    assert parse_team("\n".join(lines) + "\n") == team
+
+
+def test_empty_team_over_empty_domain_has_no_file_form():
+    team = check_team(Team((), frozenset()))
+    assert format_team(team) == "\n"
+    with pytest.raises(ModelError):
+        parse_team(format_team(team))
