@@ -11,7 +11,9 @@ block, which makes it an inclusion-logic formula.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .models import Model
@@ -31,7 +33,7 @@ from .syntax import (
     free_vars,
     is_first_order,
     quantifier_depth,
-    substitute_parallel,
+    _rename,
 )
 
 # An index is a path of tags from the root; ("e", i) spawns the witness for
@@ -108,14 +110,27 @@ def build_indices(nf: NormalForm, n: int, max_blocks: int = 4000) -> IndexBook:
 
 @dataclass(frozen=True)
 class ApproxFormula:
-    formula: Formula
     book: IndexBook
     prefix: tuple[tuple[str, str], ...]
     conjuncts: tuple[Formula, ...]
+    # per level: its existential names in display order, its universal
+    # variable and its conjuncts, from which ``formula`` is assembled
+    levels: tuple[tuple[tuple[str, ...], str, tuple[Formula, ...]], ...]
 
     def size(self) -> tuple[int, int]:
         """(quantified variables, matrix conjuncts)"""
         return len(self.prefix), len(self.conjuncts)
+
+    @cached_property
+    def formula(self) -> Formula:
+        """The approximation as one sentence, assembled the first time it is
+        read: the game itself plays the (prefix, conjuncts) view."""
+        formula: Formula | None = None
+        for names, y, parts in reversed(self.levels):
+            parts = parts if formula is None else (*parts, formula)
+            formula = exists_seq(names, Forall(y, conj(parts) if parts else TRUE))
+        assert formula is not None
+        return formula
 
 
 def build_approx(nf: NormalForm, n: int, strong: bool = False,
@@ -136,24 +151,25 @@ def build_approx(nf: NormalForm, n: int, strong: bool = False,
     ys = tuple(f"y{m}" for m in range(n + 1))
     if set(ys) & seen:
         raise ApproxError("universal variable name clash")
+    var = {name: Var(name) for name in (*seen, *ys)}
+    wx = nf.w + nf.x
 
     def alpha_at(xi: Index) -> Formula:
-        ren = {v: Var(w) for v, w in zip(nf.w, w_of[xi])}
-        ren.update({v: Var(x) for v, x in zip(nf.x, x_of[xi])})
-        return substitute_parallel(nf.alpha, ren)
+        # nf.alpha is quantifier-free, so this only renames its variables
+        return _rename(nf.alpha, {v: var[u] for v, u in zip(wx, w_of[xi] + x_of[xi])}, set())
 
     def gamma_eq(parent: Index, i: int, child: Index) -> Iterator[Formula]:
         rho, sigma = nf.i_atoms[i]
         pmap = dict(zip(nf.w, w_of[parent]))
         cmap = dict(zip(nf.w, w_of[child]))
         for a, b in zip(rho, sigma):
-            yield Equals(Var(pmap[a]), Var(cmap[b]))
+            yield Equals(var[pmap[a]], var[cmap[b]])
 
     def delta_eq(parent: Index, eta: int, j: int, child: Index) -> Iterator[Formula]:
         # pi^j over the parent block extended by y_eta equals tau^j over the child
         for k in range(j - 1):
-            yield Equals(Var(x_of[parent][k]), Var(x_of[child][k]))
-        yield Equals(Var(ys[eta]), Var(x_of[child][j - 1]))
+            yield Equals(var[x_of[parent][k]], var[x_of[child][k]])
+        yield Equals(var[ys[eta]], var[x_of[child][j - 1]])
 
     def mu_root() -> list[Formula]:
         out: list[Formula] = []
@@ -171,7 +187,7 @@ def build_approx(nf: NormalForm, n: int, strong: bool = False,
     # the emitted formula keeps the w-then-x display order, which is
     # equivalent because consecutive existentials commute
     prefix: list[tuple[str, str]] = []
-    level_conjuncts: list[list[Formula]] = []
+    levels: list[tuple[tuple[str, ...], str, tuple[Formula, ...]]] = []
     split_conjuncts: list[Formula] = []
     for m in range(n + 1):
         blocks = book.blocks(m)
@@ -208,26 +224,15 @@ def build_approx(nf: NormalForm, n: int, strong: bool = False,
                         atom = Inclusion(w_of[xi] + x_of[xi], root)
                         parts.append(atom)
                         split_conjuncts.append(atom)
-        level_conjuncts.append(parts)
-
-    formula: Formula | None = None
-    for m in range(n, -1, -1):
-        parts = list(level_conjuncts[m])
-        if formula is not None:
-            parts.append(formula)
-        body = conj(parts) if parts else TRUE
-        body = Forall(ys[m], body)
-        blocks = book.blocks(m)
-        names = [v for xi in blocks for v in w_of[xi]]
-        names += [v for xi in blocks for v in x_of[xi]]
-        formula = exists_seq(names, body)
-    assert formula is not None
+        names = (*(v for xi in blocks for v in w_of[xi]),
+                 *(v for xi in blocks for v in x_of[xi]))
+        levels.append((names, ys[m], tuple(parts)))
 
     return ApproxFormula(
-        formula=formula,
         book=book,
         prefix=tuple(prefix),
         conjuncts=tuple(split_conjuncts),
+        levels=tuple(levels),
     )
 
 
@@ -257,31 +262,41 @@ def prefix_truth(model: Model, prefix: tuple[tuple[str, str], ...],
     an ``E v`` holding a conjunct ``v = u`` tries only the value of ``u``.
     ``max_nodes`` bounds the values tried over all subgames.
     """
-    # items: (free variables, variable equality or None, test of an assignment)
-    items: list[tuple[frozenset[str], tuple[str, str] | None, Test]] = []
+    # items by number, in the order they were made: (free variables, variable
+    # equality or None, test of an assignment); ``readers`` lists the numbers
+    # of the items that read each variable, so a quantifier finds its items
+    # without scanning the others
+    items: dict[int, tuple[frozenset[str], tuple[str, str] | None, Test]] = {}
+    readers: dict[str, list[int]] = {}
+    numbers = itertools.count()
+
+    def add(fv, eq, test):
+        k = next(numbers)
+        items[k] = (fv, eq, test)
+        for v in fv:
+            readers.setdefault(v, []).append(k)
+
     for c in conjuncts:
         if not (is_first_order(c) and quantifier_depth(c) == 0):
             raise ApproxError("prefix_truth needs quantifier-free first-order conjuncts")
         if isinstance(c, Equals) and isinstance(c.left, Var) and isinstance(c.right, Var):
             a, b = c.left.name, c.right.name
-            items.append((free_vars(c), (a, b), lambda env, a=a, b=b: env[a] == env[b]))
+            add(free_vars(c), (a, b), lambda env, a=a, b=b: env[a] == env[b])
         else:
-            items.append((free_vars(c), None, lambda env, c=c: _fo(model, env, c)))
+            add(free_vars(c), None, lambda env, c=c: _fo(model, env, c))
     budget = [max_nodes]
     for kind, var in reversed(prefix):
-        inner = [item for item in items if var in item[0]]
+        inner = [items.pop(k) for k in readers.pop(var, ()) if k in items]
         if not inner:
             continue
-        items = [item for item in items if var not in item[0]]
         reads = frozenset().union(*(fv for fv, _, _ in inner)) - {var}
         pin = None
         if kind == "E":
             pin = next((eq[1] if eq[0] == var else eq[0] for _, eq, _ in inner
                         if eq and var in eq and eq[0] != eq[1]), None)
-        items.append((reads, None, _subgame(model.universe, kind == "E", var, pin,
-                                            tuple(reads), [t for _, _, t in inner],
-                                            budget, max_nodes)))
-    return all(test({}) for _, _, test in items)
+        add(reads, None, _subgame(model.universe, kind == "E", var, pin, tuple(reads),
+                                  [t for _, _, t in inner], budget, max_nodes))
+    return all(test({}) for _, _, test in items.values())
 
 
 def _subgame(universe: tuple[str, ...], exists: bool, var: str, pin: str | None,

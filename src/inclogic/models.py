@@ -149,7 +149,7 @@ def parse_model(text: str) -> Model:
     functions: dict[str, dict[tuple[str, ...], str]] = {}
     fun_arities: dict[str, int] = {}
     constants: dict[str, str] = {}
-    declared: set[tuple[str, str]] = set()
+    kind_of: dict[str, str] = {}  # the kind of each declared name; "" names the universe
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -170,6 +170,8 @@ def parse_model(text: str) -> Model:
                 rel_arities[name] = arity
             elif kind == "function":
                 name, arity, body = _parse_decl_head(rest)
+                if arity < 1:
+                    raise ModelError(f"function {name!r} must have arity >= 1")
                 functions[name] = _parse_map_entries(body, arity)
                 fun_arities[name] = arity
             else:
@@ -178,10 +180,13 @@ def parse_model(text: str) -> Model:
                 if not name or not value:
                     raise ModelError("expected 'constant NAME: elem'")
                 constants[name] = value
-            if (kind, name) in declared:
+            first = kind_of.get(name)
+            if first == kind:
                 raise ModelError(f"{kind} {name!r} declared twice" if name
                                  else "universe declared twice")
-            declared.add((kind, name))
+            if first:
+                raise ModelError(f"{kind} {name!r} is already declared as a {first}")
+            kind_of[name] = kind
         except ModelError as e:
             raise ModelError(f"line {lineno}: {e}") from None
 
@@ -253,6 +258,8 @@ def parse_team(text: str) -> Team:
     width, body = len(header), rows[1:]
     if len(set(header)) != width:
         raise ModelError("duplicate variables in team header")
+    if "" in header:
+        raise ModelError("empty variable name in team header")
     if not set(map(len, body)) <= {width}:
         row = next(r for r in body if len(r) != width)
         raise ModelError(f"team row {row!r} does not match header")
@@ -264,11 +271,19 @@ def parse_team(text: str) -> Team:
 
 
 def format_team(team: Team) -> str:
-    """Write ``team`` as a team file that ``parse_team`` reads back, except
-    the empty team over the empty domain, which has no file form: it is
-    written as an empty line, which ``parse_team`` rejects."""
+    """Write ``team`` as a team file that ``parse_team`` reads back.  The
+    empty team over the empty domain has no file form: it is written as an
+    empty line, which ``parse_team`` rejects.  Nor has a team with a variable
+    or value that is empty or padded with whitespace, which ``parse_team``
+    would strip or skip as a blank row: it raises ModelError."""
     if team.domain == () and team.rows:
         return "<empty-domain>\n"
+    if team.domain == ("<empty-domain>",) and not team.rows:
+        return '"<empty-domain>"\n'  # quoted, so not read as the line above
+    bad = next((c for c in itertools.chain(team.domain, *team.rows)
+                if not c or c != c.strip()), None)
+    if bad is not None:
+        raise ModelError(f"team cell {bad!r} is empty or padded with whitespace")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(team.domain)

@@ -124,11 +124,12 @@ def subst_term(t: Term, mapping: Mapping[str, Term]) -> Term:
 # ---------------------------------------------------------------------------
 # Formulas
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class _Node:
     """A formula node's hash, free variables, first-order flag and quantifier
     depth, computed once at construction from its children's stored values,
-    so reading them never walks the tree."""
+    so reading them never walks the tree.  Each class's ``__init__`` writes
+    its fields and these values straight into ``__dict__``."""
 
     _hash: int = field(init=False, repr=False, compare=False)
     _free_vars: frozenset[str] = field(init=False, repr=False, compare=False)
@@ -158,18 +159,12 @@ class _Node:
                     return False
         return True
 
-    def _set_meta(self, key: tuple, free: frozenset[str], first_order: bool,
-                  depth: int) -> None:
-        # ``key`` holds the compared fields, so equal nodes hash alike
-        self.__dict__.update(_hash=hash(key), _free_vars=free,
-                             _first_order=first_order, _depth=depth)
-
 
 def _node(cls):
-    """Make ``cls`` a frozen dataclass that keeps the stored hash and the
-    stack-based equality, in place of the generated ones that would recurse
-    through the fields, and so the whole tree."""
-    cls = dataclass(frozen=True)(cls)
+    """Make ``cls`` a frozen dataclass that keeps its own ``__init__``, the
+    stored hash and the stack-based equality, in place of the generated ones
+    that would recurse through the fields, and so the whole tree."""
+    cls = dataclass(frozen=True, init=False)(cls)
     cls.__hash__ = _Node.__hash__
     cls.__eq__ = _Node.__eq__
     cls._compared = tuple(f.name for f in fields(cls) if f.compare)
@@ -178,8 +173,9 @@ def _node(cls):
 
 @_node
 class Bottom(_Node):
-    def __post_init__(self):
-        self._set_meta((), frozenset(), True, 0)
+    def __init__(self):
+        d = self.__dict__
+        d["_hash"], d["_free_vars"], d["_first_order"], d["_depth"] = 0, frozenset(), True, 0
 
 
 @_node
@@ -187,9 +183,16 @@ class Equals(_Node):
     left: Term
     right: Term
 
-    def __post_init__(self):
-        free = term_vars(self.left) | term_vars(self.right)
-        self._set_meta((self.left, self.right), free, True, 0)
+    def __init__(self, left: Term, right: Term):
+        d = self.__dict__
+        d["left"], d["right"] = left, right
+        # variables, the common case, hash by name, without calling Var.__hash__
+        if type(left) is Var and type(right) is Var:
+            a, b = left.name, right.name
+            d["_hash"], d["_free_vars"] = hash((a, b)), frozenset((a, b))
+        else:
+            d["_hash"], d["_free_vars"] = hash((left, right)), term_vars(left) | term_vars(right)
+        d["_first_order"], d["_depth"] = True, 0
 
 
 @_node
@@ -197,32 +200,40 @@ class Relation(_Node):
     name: str
     args: tuple[Term, ...]
 
-    def __post_init__(self):
-        free = frozenset().union(*map(term_vars, self.args))
-        self._set_meta((self.name, self.args), free, True, 0)
+    def __init__(self, name: str, args: tuple[Term, ...]):
+        d = self.__dict__
+        d["name"], d["args"], d["_first_order"], d["_depth"] = name, args, True, 0
+        names = [t.name for t in args if type(t) is Var]
+        if len(names) == len(args):
+            d["_hash"], d["_free_vars"] = hash((name, *names)), frozenset(names)
+        else:
+            d["_hash"] = hash((name, args))
+            d["_free_vars"] = frozenset().union(*map(term_vars, args))
 
 
 @_node
 class Not(_Node):
     body: "Formula"
 
-    def __post_init__(self):
-        body = self.body
+    def __init__(self, body: "Formula"):
         if not body._first_order:
             raise FormulaError("negation applies to first-order formulas only")
-        self._set_meta((body,), body._free_vars, True, body._depth)
+        d = self.__dict__
+        d["body"], d["_hash"], d["_free_vars"] = body, hash((body._hash,)), body._free_vars
+        d["_first_order"], d["_depth"] = True, body._depth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class _Binary(_Node):
     left: "Formula"
     right: "Formula"
 
-    def __post_init__(self):
-        left, right = self.left, self.right
-        self._set_meta((left, right), left._free_vars | right._free_vars,
-                       left._first_order and right._first_order,
-                       max(left._depth, right._depth))
+    def __init__(self, left: "Formula", right: "Formula"):
+        d = self.__dict__
+        d["left"], d["right"], d["_hash"] = left, right, hash((left._hash, right._hash))
+        d["_free_vars"] = left._free_vars | right._free_vars
+        d["_first_order"] = left._first_order and right._first_order
+        d["_depth"] = max(left._depth, right._depth)
 
 
 @_node
@@ -235,15 +246,18 @@ class Or(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class _Quantifier(_Node):
     var: str
     body: "Formula"
 
-    def __post_init__(self):
-        body = self.body
-        self._set_meta((self.var, body), body._free_vars - {self.var},
-                       body._first_order, body._depth + 1)
+    def __init__(self, var: str, body: "Formula"):
+        free = body._free_vars
+        d = self.__dict__
+        d["var"], d["body"], d["_hash"] = var, body, hash((var, body._hash))
+        # the body's own set when the binder is not free in it
+        d["_free_vars"] = free - {var} if var in free else free
+        d["_first_order"], d["_depth"] = body._first_order, body._depth + 1
 
 
 @_node
@@ -261,12 +275,19 @@ class Inclusion(_Node):
     lhs: tuple[str, ...]
     rhs: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.lhs) != len(self.rhs):
+    def __init__(self, lhs: tuple[str, ...], rhs: tuple[str, ...]):
+        if len(lhs) != len(rhs):
             raise FormulaError("inclusion atom sides must have equal length")
-        if not self.lhs:
+        if not lhs:
             raise FormulaError("inclusion atom sides must be nonempty")
-        self._set_meta((self.lhs, self.rhs), frozenset(self.lhs + self.rhs), False, 0)
+        _set_atom(self, lhs, rhs, frozenset(lhs + rhs))
+
+
+def _set_atom(node: _Node, lhs: tuple, rhs: tuple, free: frozenset[str]) -> None:
+    # the fields and metadata of a two-sided atom, which is not first-order
+    d = node.__dict__
+    d["lhs"], d["rhs"], d["_hash"], d["_free_vars"] = lhs, rhs, hash((lhs, rhs)), free
+    d["_first_order"], d["_depth"] = False, 0
 
 
 Formula = Union[Bottom, Equals, Relation, Not, And, Or, Exists, Forall, Inclusion]
@@ -446,19 +467,18 @@ def rename_bound(f: Formula, reserved: Iterable[str] = ()) -> Formula:
     return _rename(f, {}, used)
 
 
-def _rename(f: Formula, ren: Mapping[str, str], used: set[str]) -> Formula:
+def _rename(f: Formula, ren: Mapping[str, Var], used: set[str]) -> Formula:
+    """Copy of ``f`` with each free variable in ``ren`` replaced by its Var and
+    each binder renamed to a fresh name from ``used``; so a quantifier-free
+    ``f`` is renamed without any capture check."""
     if isinstance(f, Bottom):
         return f
     if isinstance(f, Equals):
-        m = {v: Var(w) for v, w in ren.items()}
-        return Equals(subst_term(f.left, m), subst_term(f.right, m))
+        return Equals(subst_term(f.left, ren), subst_term(f.right, ren))
     if isinstance(f, Relation):
-        m = {v: Var(w) for v, w in ren.items()}
-        return Relation(f.name, tuple(subst_term(a, m) for a in f.args))
+        return Relation(f.name, tuple([subst_term(a, ren) for a in f.args]))
     if isinstance(f, Inclusion):
-        return Inclusion(
-            tuple(ren.get(v, v) for v in f.lhs), tuple(ren.get(v, v) for v in f.rhs)
-        )
+        return Inclusion(_subst_varseq(f.lhs, ren), _subst_varseq(f.rhs, ren))
     if isinstance(f, Not):
         return Not(_rename(f.body, ren, used))
     if isinstance(f, (And, Or)):
@@ -466,7 +486,7 @@ def _rename(f: Formula, ren: Mapping[str, str], used: set[str]) -> Formula:
     if isinstance(f, (Exists, Forall)):
         new = fresh_name(f.var, used)
         used.add(new)
-        return type(f)(new, _rename(f.body, {**ren, f.var: new}, used))
+        return type(f)(new, _rename(f.body, {**ren, f.var: Var(new)}, used))
     raise FormulaError(f"cannot rename in {f!r}")
 
 
@@ -513,11 +533,10 @@ class TermInclusion(_Node):
     lhs: tuple[Term, ...]
     rhs: tuple[Term, ...]
 
-    def __post_init__(self):
-        if len(self.lhs) != len(self.rhs) or not self.lhs:
+    def __init__(self, lhs: tuple[Term, ...], rhs: tuple[Term, ...]):
+        if len(lhs) != len(rhs) or not lhs:
             raise FormulaError("term inclusion sides must be nonempty and equal length")
-        free = frozenset().union(*map(term_vars, self.lhs + self.rhs))
-        self._set_meta((self.lhs, self.rhs), free, False, 0)
+        _set_atom(self, lhs, rhs, frozenset().union(*map(term_vars, lhs + rhs)))
 
 
 @_node
@@ -525,19 +544,20 @@ class Anonymity(_Node):
     lhs: tuple[str, ...]
     rhs: tuple[str, ...]
 
-    def __post_init__(self):
-        self._set_meta((self.lhs, self.rhs), frozenset(self.lhs + self.rhs), False, 0)
+    def __init__(self, lhs: tuple[str, ...], rhs: tuple[str, ...]):
+        _set_atom(self, lhs, rhs, frozenset(lhs + rhs))
 
 
 @_node
 class WeakNeg(_Node):
     body: Formula
 
-    def __post_init__(self):
-        body = self.body
+    def __init__(self, body: Formula):
         if not body._first_order:
             raise FormulaError("weak negation applies to first-order formulas only")
-        self._set_meta((body,), body._free_vars, False, body._depth)
+        d = self.__dict__
+        d["body"], d["_hash"], d["_free_vars"] = body, hash((body._hash,)), body._free_vars
+        d["_first_order"], d["_depth"] = False, body._depth
 
 
 SugarForm = Union[TermInclusion, Anonymity, WeakNeg]

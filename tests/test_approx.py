@@ -1,10 +1,13 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inclogic.approx import (
     ApproxError,
     ROOT,
+    _subgame,
     build_approx,
     build_indices,
     check_approx,
@@ -15,8 +18,20 @@ from inclogic.models import SINGLETON_EMPTY_DOMAIN, parse_model
 from inclogic.normalform import normal_form
 from inclogic.parser import parse_formula
 from inclogic.semantics import GuardExceeded, _fo, eval_fast
-from inclogic.suites import DEFAULT_SEED, SUITE_SIG, gen_model, gen_sentence
-from inclogic.syntax import free_vars, is_first_order, pretty, quantifier_depth
+from inclogic.suites import DEFAULT_SEED, SUITE_SIG, gen_formula, gen_model, gen_sentence
+from inclogic.syntax import (
+    App,
+    Const,
+    Equals,
+    Signature,
+    Var,
+    _rename,
+    free_vars,
+    is_first_order,
+    pretty,
+    quantifier_depth,
+    substitute_parallel,
+)
 
 M2 = parse_model("""
 universe: a b
@@ -70,6 +85,54 @@ def _dfs_prefix_truth(model, prefix, conjuncts, max_nodes=4_000_000):
         return result
 
     return all(_fo(model, {}, c) for c in ground) and rec(0)
+
+
+def _scan_prefix_truth(model, prefix, conjuncts, max_nodes=4_000_000):
+    """Reference: the miniscoping of ``prefix_truth`` with each quantifier
+    scanning the whole item list for the items that read its variable."""
+    items = []
+    for c in conjuncts:
+        if not (is_first_order(c) and quantifier_depth(c) == 0):
+            raise ApproxError("prefix_truth needs quantifier-free first-order conjuncts")
+        if isinstance(c, Equals) and isinstance(c.left, Var) and isinstance(c.right, Var):
+            a, b = c.left.name, c.right.name
+            items.append((free_vars(c), (a, b), lambda env, a=a, b=b: env[a] == env[b]))
+        else:
+            items.append((free_vars(c), None, lambda env, c=c: _fo(model, env, c)))
+    budget = [max_nodes]
+    for kind, var in reversed(prefix):
+        inner = [item for item in items if var in item[0]]
+        if not inner:
+            continue
+        items = [item for item in items if var not in item[0]]
+        reads = frozenset().union(*(fv for fv, _, _ in inner)) - {var}
+        pin = None
+        if kind == "E":
+            pin = next((eq[1] if eq[0] == var else eq[0] for _, eq, _ in inner
+                        if eq and var in eq and eq[0] != eq[1]), None)
+        items.append((reads, None, _subgame(model.universe, kind == "E", var, pin,
+                                            tuple(reads), [t for _, _, t in inner],
+                                            budget, max_nodes)))
+    return all(test({}) for _, _, test in items)
+
+
+def _criterion_5_stream(count=400):
+    """Criterion 5's sentences under its size filter, each with its model."""
+    rng = random.Random(DEFAULT_SEED)
+    out = []
+    while len(out) < count:
+        f = gen_sentence(rng)
+        if free_vars(f):
+            continue
+        nf = normal_form(f)
+        try:
+            book = build_indices(nf, 2, max_blocks=30)
+        except GuardExceeded:
+            continue
+        if book.total_blocks() * (len(nf.w) + len(nf.x)) > 120:
+            continue
+        out.append((f, nf, gen_model(rng, max_size=3)))
+    return out
 
 
 def sentence(text):
@@ -258,3 +321,54 @@ relation R/2: (a,b) (b,a)
         af = build_approx(nf_of(TRIP), 2)
         with pytest.raises(GuardExceeded):
             prefix_truth(M3, af.prefix, af.conjuncts, max_nodes=1)
+
+
+class TestAgainstReferences:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_renaming_matches_substitution(self, seed):
+        # a quantifier-free matrix over variables, constants and function
+        # terms, some of its variables renamed and some left alone
+        rng = random.Random(seed)
+        sig = Signature({"P": 1, "R": 2}, {"f": 1}, frozenset(("c",)))
+        f = gen_formula(rng, ("a", "b", "d"), rng.randint(1, 12), fo_only=True,
+                        quant_budget=0, sig=sig)
+        f = substitute_parallel(f, {"d": rng.choice([Const("c"), App("f", (Var("a"),))])})
+        ren = {v: Var(f"{v}_0e{rng.randint(0, 2)}") for v in ("a", "b") if rng.random() < 0.8}
+        assert _rename(f, ren, set()) == substitute_parallel(f, ren)
+
+    def test_formula_is_assembled_on_first_read(self):
+        af = build_approx(nf_of("A a. E b. (a <= b & R(a,b))"), 2)
+        prefix_truth(M2, af.prefix, af.conjuncts)
+        assert "formula" not in vars(af)
+        assert af.formula is af.formula and "formula" in vars(af)
+
+    def test_lazy_formula_matches_eager_assembly(self):
+        # the digest of repr(af.formula) over criterion 5's stream, levels 0-2,
+        # plain and strong, taken when build_approx still assembled the
+        # formula on every call
+        digest = hashlib.sha256()
+        for _, nf, _ in _criterion_5_stream():
+            for n in range(3):
+                for strong in (False, True):
+                    af = build_approx(nf, n, strong=strong)
+                    digest.update(repr(af.formula).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "9e1bab4fe14722bff421ea09a0b4380d686cecf885907c0c2a8fc182cd041401")
+
+    def test_indexed_miniscoping_matches_scan(self):
+        outcomes = set()
+        for f, nf, model in _criterion_5_stream():
+            for n in range(3):
+                af = build_approx(nf, n)
+                for max_nodes in (10, 100, 1000, 4_000_000):
+                    results = []
+                    for truth in (prefix_truth, _scan_prefix_truth):
+                        try:
+                            results.append(truth(model, af.prefix, af.conjuncts,
+                                                 max_nodes=max_nodes))
+                        except GuardExceeded:
+                            results.append("trip")
+                    assert results[0] == results[1], (f, n, max_nodes)
+                    outcomes.add(results[0])
+        assert outcomes == {True, False, "trip"}

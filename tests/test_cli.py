@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inclogic import cli, semantics
 from inclogic.cli import main
@@ -261,3 +267,90 @@ def test_eval_repeated_declaration(files, capsys, model, message):
     team.write_text("x\n0\n1\n")
     code = main(["eval", "--model", str(path), "--team", str(team), "--formula", "x = x"])
     assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: random argv and file contents through main
+
+_CORPUS = Path(cli.__file__).parent / "proofs" / "corpus"
+_TEXT = st.text(st.sampled_from(list("abxyzPR01(),.<=~&|[]E A:/->\n#\"")), max_size=40)
+_FORMULA = st.one_of(st.sampled_from([
+    "E x. E y. (y <= x & y < x)", "A a. E b. R(a,b)", "A a. A b. E c. (a <= c)",
+    "x <= y", "x,y ups z", "snot P(x)", "[f(x)] <= [c]", "E x. P(x) | ~P(x)", "bot",
+    "x = y & ~x = y", "E x. (", "A x. x <= ", "~(E x. x <= y)", "R(x)",
+]), _TEXT)
+
+
+def _file(*samples):
+    """File contents: one of the samples (half the time), random text or
+    random bytes."""
+    sample = st.sampled_from(samples)
+    return st.one_of(sample, sample, _TEXT, st.binary(max_size=20)).map(
+        lambda c: c if isinstance(c, bytes) else c.encode())
+
+
+_MODEL = _file(CYCLE, LINE, "universe: a b\nrelation P/1: (a)\nrelation R/2: (a,b) (b,a)\n",
+               "universe: a b\nrelation P/1: (a)\nconstant P: a\n", "universe: a\n",
+               "universe: a b\nfunction f/1: (a)->b (b)->a\nconstant c: a\n")
+_TEAM = _file("x,y\n0,1\n1,2\n", "x\n0\n\n", "<empty-domain>\n", "x,,y\n", "x\n\"\n",
+              "y\n0\n2\n")
+_SCRIPT = _file(*(p.read_text() for p in sorted(_CORPUS.glob("*.ndp"))[:6]))
+_NUMBER = st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["x", "1.5", ""]))
+_FORMULA_ARG = st.one_of(st.tuples(st.just("--formula"), _FORMULA),
+                         st.tuples(st.just("--formula-file"), _file("x <= y", "A a. P(a)")))
+# per command: arguments it needs, each left out now and then, and options
+_ARGS = {
+    "parse": ([_FORMULA_ARG], [("--model", _MODEL)]),
+    "eval": ([_FORMULA_ARG, st.tuples(st.just("--model"), _MODEL),
+              st.tuples(st.just("--team"), _TEAM)],
+             [("--engine", st.sampled_from(["naive", "fast", "both", "z"])),
+              ("--max-subteam", None), ("--max-rows", _NUMBER),
+              ("--max-universe", _NUMBER), ("--max-depth", _NUMBER)]),
+    "nf": ([_FORMULA_ARG], [("--model", _MODEL)]),
+    "approx": ([_FORMULA_ARG], [("--model", _MODEL), ("--n", _NUMBER), ("--strong", None),
+                                ("--cap", _NUMBER), ("--stable-bound", _NUMBER)]),
+    "check": ([_SCRIPT.map(lambda c: (c,))], [("--model", _MODEL)]),
+    "implies": ([st.tuples(st.just("--phi"), st.sampled_from(["x<=z", "y<=x", "x", "u<=v"]))],
+                [("--gamma", st.sampled_from(["x<=y;y<=z", "x,y<=y,x", "d,c <= e,e", "",
+                                              "x<=", ";"])),
+                 ("--rows", _NUMBER), ("--elems", _NUMBER)]),
+}
+
+
+@st.composite
+def _invocations(draw):
+    """An argv for main, in which each file's contents stand for its path."""
+    command = draw(st.sampled_from(sorted(_ARGS)))
+    needed, options = _ARGS[command]
+    argv = ["--format", draw(st.sampled_from(["text", "records"]))] if draw(st.booleans()) else []
+    argv.append(command)
+    for arg in needed:
+        if draw(st.integers(0, 9)):
+            argv += draw(arg)
+    for flag, kind in draw(st.lists(st.sampled_from(options), max_size=4)):
+        argv += [flag] if kind is None else [flag, draw(kind)]
+    return argv
+
+
+@given(_invocations())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_fuzz_never_crashes(argv):
+    """No argv and no file contents make main print a traceback or return an
+    exit code outside 0-3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        args = []
+        for i, arg in enumerate(argv):
+            if isinstance(arg, bytes):
+                path = os.path.join(tmp, f"f{i}")
+                with open(path, "wb") as handle:
+                    handle.write(arg)
+                arg = path
+            args.append(arg)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as e:  # argparse: usage errors exit 2
+                code = e.code
+    assert code in (0, 1, 2, 3), (args, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue(), args

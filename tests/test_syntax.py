@@ -1,13 +1,17 @@
 import gc
+import inspect
 import random
+import re
+import sys
 import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from inclogic.models import parse_model, parse_team
 from inclogic.normalform import normal_form
-from inclogic.parser import ParseError, parse_formula
+from inclogic.parser import ParseError, parse_formula, parse_term
 from inclogic.semantics import eval_fast, eval_naive
 from inclogic.suites import SUITE_SIG, gen_formula
 from inclogic.syntax import (
@@ -20,6 +24,7 @@ from inclogic.syntax import (
     EMPTY_SIGNATURE,
     Equals,
     Exists,
+    Forall,
     FormulaError,
     Inclusion,
     Not,
@@ -31,6 +36,7 @@ from inclogic.syntax import (
     WeakNeg,
     alpha_equivalent,
     desugar,
+    exists_seq,
     free_vars,
     is_first_order,
     pretty,
@@ -38,6 +44,7 @@ from inclogic.syntax import (
     rename_bound,
     subformulas,
     substitute,
+    substitute_parallel,
     term_vars,
 )
 
@@ -321,3 +328,100 @@ class TestPretty:
         for _ in range(10_000):
             f = gen_formula(rng, ("x", "y", "z"), rng.randint(1, 12))
             assert alpha_equivalent(f, parse(pretty(f)))
+
+
+# ---------------------------------------------------------------------------
+# The node contract: frozen fields, the dataclass repr, equal nodes hashing
+# alike, and construction without recursion
+
+_TERM_SIG = Signature({"P": 1, "R": 2}, {"f": 1}, frozenset(("c",)))
+_X, _Y = Var("x"), Var("y")
+
+# one node of each kind, with its repr
+NODE_REPRS = [
+    (Bottom(), "Bottom()"),
+    (Equals(_X, Const("c")), "Equals(left=Var(name='x'), right=Const(name='c'))"),
+    (Relation("R", (_X, App("f", (_Y,)))),
+     "Relation(name='R', args=(Var(name='x'), App(func='f', args=(Var(name='y'),))))"),
+    (Not(Bottom()), "Not(body=Bottom())"),
+    (And(Bottom(), Bottom()), "And(left=Bottom(), right=Bottom())"),
+    (Or(Bottom(), Bottom()), "Or(left=Bottom(), right=Bottom())"),
+    (Exists("x", Bottom()), "Exists(var='x', body=Bottom())"),
+    (Forall("x", Bottom()), "Forall(var='x', body=Bottom())"),
+    (Inclusion(("x",), ("y",)), "Inclusion(lhs=('x',), rhs=('y',))"),
+    (TermInclusion((_X,), (Const("c"),)),
+     "TermInclusion(lhs=(Var(name='x'),), rhs=(Const(name='c'),))"),
+    (Anonymity(("x",), ("y",)), "Anonymity(lhs=('x',), rhs=('y',))"),
+    (WeakNeg(Bottom()), "WeakNeg(body=Bottom())"),
+]
+
+
+class TestNodeContract:
+    @pytest.mark.parametrize("node, text", NODE_REPRS)
+    def test_repr(self, node, text):
+        assert repr(node) == text
+
+    @pytest.mark.parametrize("node", [node for node, _ in NODE_REPRS])
+    def test_fields_are_frozen(self, node):
+        for name in [*node._compared, "_hash", "_free_vars", "_first_order", "_depth"]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, name, None)
+
+    @given(st.integers(0, 10**6), st.sampled_from(["t", "c", "f(t)", "f(c)", "f(f(y))"]))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_nodes_hash_alike(self, seed, term_text):
+        """Each formula is built by the parser and by substitution, desugaring
+        or the kernel constructors; the two builds are equal, and equal nodes
+        hash alike."""
+        rng = random.Random(seed)
+        f = gen_formula(rng, ("x", "y", "z"), rng.randint(1, 10), sig=_TERM_SIG)
+        # bound variables apart from the free ones, so replacing the text
+        # ``x`` replaces exactly its free occurrences
+        f = rename_bound(f, reserved={"x", "y", "z", "t"})
+        text = pretty(f)
+        pairs = [(parse_formula(text, _TERM_SIG), f)]
+        try:
+            by_text = parse_formula(re.sub(r"\bx\b", term_text, text), _TERM_SIG)
+        except ParseError:
+            by_text = None  # a term other than a variable in an inclusion atom
+        try:
+            by_subst = substitute_parallel(f, {"x": parse_term(term_text, _TERM_SIG)})
+        except FormulaError:
+            by_subst = None
+        assert (by_text is None) == (by_subst is None)
+        if by_text is not None:
+            pairs.append((by_text, by_subst))
+        xs = sorted(free_vars(f))
+        if is_first_order(f):
+            pairs.append((parse_formula(f"snot ({text})", _TERM_SIG),
+                          desugar(WeakNeg(f), _TERM_SIG.names())))
+        if xs:
+            pairs += [
+                (parse_formula(f"{xs[0]} ups {','.join(xs)}", _TERM_SIG),
+                 desugar(Anonymity((xs[0],), tuple(xs)), _TERM_SIG.names())),
+                (parse_formula(f"[f({xs[0]})] <= [c]", _TERM_SIG),
+                 desugar(TermInclusion((App("f", (Var(xs[0]),)),), (Const("c"),)),
+                         _TERM_SIG.names())),
+            ]
+        pairs.append((parse_formula(f"E t. A w. ({text}) & ({text})", _TERM_SIG),
+                      Exists("t", Forall("w", And(f, f)))))
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+            assert (free_vars(a), is_first_order(a), quantifier_depth(a)) == \
+                (free_vars(b), is_first_order(b), quantifier_depth(b))
+
+    def test_deep_chains_build_without_recursion(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            chain = Equals(_X, _Y)
+            for k in range(3000):
+                chain = Exists(f"v{k}", chain)
+            conj_chain = Equals(_X, _Y)
+            for k in range(2999):
+                conj_chain = And(conj_chain, Equals(Var(f"v{k}"), _Y))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert quantifier_depth(chain) == 3000 and free_vars(chain) == {"x", "y"}
+        assert free_vars(conj_chain) >= {"x", "v2998"} and quantifier_depth(conj_chain) == 0
+        assert chain == exists_seq([f"v{k}" for k in reversed(range(3000))], Equals(_X, _Y))
