@@ -81,6 +81,9 @@ def build_indices(nf: NormalForm, n: int, max_blocks: int = 4000) -> IndexBook:
         raise ApproxError("game approximations are defined for sentences only")
     if n < 0:
         raise ApproxError("approximation level must be nonnegative")
+    # trips only forms without witness atoms: the others add a block per level
+    if n + 1 > max_blocks:
+        raise GuardExceeded(f"approximation needs {n + 1} levels > cap {max_blocks}")
     i_range = range(len(nf.i_atoms))
     j_range = range(len(nf.j_indices))
     levels = [Level((ROOT,), (), ())]
@@ -344,6 +347,7 @@ def approx_report(model: Model, nf: NormalForm, cap: int = 3,
     """Evaluate levels 0..cap; report "approx-stable" when every level up to
     a cap beyond the stabilization bound holds.  No equivalence with the
     sentence itself is claimed."""
+    build_indices(nf, cap, max_blocks)  # a cap the guard refuses fails before any level runs
     values = []
     sizes = []
     for m in range(cap + 1):

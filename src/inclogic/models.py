@@ -158,7 +158,7 @@ def parse_model(text: str) -> Model:
         m = _DECL_RE.match(line)
         if m is None:
             raise ModelError(f"line {lineno}: unrecognized declaration {line!r}")
-        kind, rest = m.group(1), m.group(2).strip()
+        kind, rest = m.groups()  # the line is stripped and \s* takes the blanks after kind
         try:
             if kind == "universe":
                 if not rest.startswith(":"):
@@ -166,7 +166,7 @@ def parse_model(text: str) -> Model:
                 name, universe = "", rest[1:].split()
             elif kind == "relation":
                 name, arity, body = _parse_decl_head(rest)
-                relations[name] = frozenset(_parse_tuples(body, arity))
+                relations[name] = _parse_tuples(body, arity)
                 rel_arities[name] = arity
             elif kind == "function":
                 name, arity, body = _parse_decl_head(rest)
@@ -198,18 +198,37 @@ def _parse_decl_head(rest: str) -> tuple[str, int, str]:
     m = _HEAD_RE.match(rest)
     if m is None:
         raise ModelError(f"expected 'NAME/ARITY: ...', got {rest!r}")
-    return m.group(1), int(m.group(2)), m.group(3)
+    name, arity, body = m.groups()
+    return name, int(arity), body
 
 
-def _parse_tuples(body: str, arity: int) -> Iterator[tuple[str, ...]]:
-    for chunk in _TUPLE_RE.findall(body):
-        items = tuple(map(str.strip, chunk.split(","))) if chunk.strip() else ()
-        if len(items) != arity:
-            raise ModelError(f"tuple ({chunk}) does not match arity {arity}")
-        yield items
-    stray = _TUPLE_RE.sub("", body).strip()
-    if stray:
-        raise ModelError(f"unexpected text {stray!r} in table")
+def _parse_tuples(body: str, arity: int) -> frozenset[tuple[str, ...]]:
+    """The tuples of a relation table, read in whole-table passes.  A blank chunk
+    is the empty tuple; any other has one stripped cell per comma and one more."""
+    chunks = _TUPLE_RE.findall(body)
+    if not (chunks or body.strip()):
+        return frozenset()
+    joined = ",".join(chunks)
+    packed = "".join(joined.split())
+    if arity > 1:
+        ok = set(map(str.count, chunks, itertools.repeat(","))) == {arity - 1}
+    elif arity:
+        ok = joined.count(",") == len(chunks) - 1 and all(map(str.strip, chunks))
+    else:
+        ok = not any(map(str.strip, chunks))
+    # no stray text: the body's non-blank characters are the chunks' and 2 per
+    # chunk (packed adds n - 1 commas); str.split and str.strip agree on blanks
+    if not (chunks and ok and len("".join(body.split())) == len(packed) + len(chunks) + 1):
+        for chunk in chunks:  # name the first fault, as a per-tuple reading would
+            if (len(chunk.split(",")) if chunk.strip() else 0) != arity:
+                raise ModelError(f"tuple ({chunk}) does not match arity {arity}")
+        raise ModelError(f"unexpected text {_TUPLE_RE.sub('', body).strip()!r} in table")
+    if not arity:
+        return frozenset({()})
+    cells = joined.split(",")
+    if len(packed) != len(joined):
+        cells = map(str.strip, cells)
+    return frozenset(zip(*[iter(cells)] * arity))
 
 
 def _parse_map_entries(body: str, arity: int) -> dict[tuple[str, ...], str]:
@@ -249,25 +268,29 @@ def parse_team(text: str) -> Team:
     if text.strip() == "<empty-domain>":
         return SINGLETON_EMPTY_DOMAIN
     try:
-        rows = [row for row in csv.reader(io.StringIO(text)) if "".join(row).strip()]
+        rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as e:
         raise ModelError(f"team file is not valid CSV: {e}") from None
+    cells = list(map(str.strip, itertools.chain.from_iterable(rows)))
+    if [] in rows or "" in cells:  # skip the rows whose cells are all blank, if any
+        rows = [row for row in rows if "".join(row).strip()]
+        cells = list(map(str.strip, itertools.chain.from_iterable(rows)))
     if not rows:
         raise ModelError("team file needs a header row (or the line '<empty-domain>')")
-    header = [h.strip() for h in rows[0]]
-    width, body = len(header), rows[1:]
+    width = len(rows[0])
+    header, body = cells[:width], cells[width:]
     if len(set(header)) != width:
         raise ModelError("duplicate variables in team header")
     if "" in header:
         raise ModelError("empty variable name in team header")
-    if not set(map(len, body)) <= {width}:
-        row = next(r for r in body if len(r) != width)
+    if not set(map(len, rows)) <= {width}:
+        row = next(r for r in rows if len(r) != width)
         raise ModelError(f"team row {row!r} does not match header")
+    body = zip(*[iter(body)] * width)
     order = sorted(range(width), key=header.__getitem__)
     if order != list(range(width)):
         body = map(itemgetter(*order), body)
-    rows = frozenset([tuple(map(str.strip, row)) for row in body])
-    return check_team(Team(tuple(sorted(header)), rows))
+    return Team(tuple(sorted(header)), frozenset(body))  # the checks above are check_team's
 
 
 def format_team(team: Team) -> str:
@@ -294,7 +317,6 @@ def format_team(team: Team) -> str:
 
 def check_team_in_model(team: Team, model: Model):
     elems = set(model.universe)
-    for row in team.rows:
-        for value in row:
-            if value not in elems:
-                raise ModelError(f"team element {value!r} not in the model universe")
+    if not elems.issuperset(itertools.chain.from_iterable(team.rows)):
+        value = next(v for v in itertools.chain.from_iterable(team.rows) if v not in elems)
+        raise ModelError(f"team element {value!r} not in the model universe")

@@ -99,9 +99,12 @@ _SIG_RE = re.compile(
     r"|constant\s+([A-Za-z_][A-Za-z0-9_']*))\s*$"
 )
 _STEP_RE = re.compile(r"^([A-Za-z0-9_]+)\s*:\s*(.*)$")
+# the literal prefix "by" lets search skip ahead; the lookbehind is a leading \b
 _RULE_RE = re.compile(
-    r"\bby\s+([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*(?:from\s+([A-Za-z0-9_,\s]*))?$"
+    r"by(?<!\wby)\s+([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*(?:from\s+([A-Za-z0-9_,\s]*))?$"
 )
+_VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_']*$")
+_INT_RE = re.compile(r"^\d+$")
 _VARSEQ_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_']*(\s*,\s*[A-Za-z_][A-Za-z0-9_']*)*$")
 
 
@@ -230,7 +233,7 @@ def _parse_params(text: str, sig: Signature, parsed: dict[str, Formula]) -> dict
         elif kind == "formula+":
             adds.append(_formula(value, sig, parsed))
         elif kind == "var":
-            if not re.match(r"^[A-Za-z_][A-Za-z0-9_']*$", value):
+            if not _VAR_RE.match(value):
                 raise FormulaError(f"parameter {key!r} must be a variable")
             params[key] = value
         elif kind == "varseq":
@@ -238,7 +241,7 @@ def _parse_params(text: str, sig: Signature, parsed: dict[str, Formula]) -> dict
                 raise FormulaError(f"parameter {key!r} must be a variable sequence")
             params[key] = tuple(v.strip() for v in value.split(","))
         else:
-            if not re.match(r"^\d+$", value):
+            if not _INT_RE.match(value):
                 raise FormulaError(f"parameter {key!r} must be an integer")
             params[key] = int(value)
     if adds:

@@ -147,6 +147,20 @@ def test_approx_independent_subgames(files, capsys):
     assert "level 2: true" in out and "approx-stable" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "20000"], "approximation needs 20001 levels > cap 4000"),
+    (["--model", "CYCLE", "--cap", "20000"], "approximation needs 20001 levels > cap 4000"),
+    (["--model", "CYCLE", "--cap", "-1"], "approximation level must be nonnegative"),
+])
+def test_approx_level_bounds(files, capsys, argv, message):
+    """A form without witness atoms adds no block per level, so its level
+    and cap are bounded on their own."""
+    argv = [files["cycle"] if a == "CYCLE" else a for a in argv]
+    code = main(["approx", "--formula", "E a. a = a", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def test_eval_long_conjunction(files, capsys):
     team = files["tmp"] / "x.team"
     team.write_text("x\n0\n1\n")

@@ -1,14 +1,20 @@
+import csv
+import io
 import itertools
+import re
+from operator import itemgetter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from inclogic import check_team
+from inclogic import check_team, models
 from inclogic.models import (
     Model,
     ModelError,
     SINGLETON_EMPTY_DOMAIN,
     Team,
+    check_team_in_model,
     format_model,
     format_team,
     parse_model,
@@ -304,3 +310,149 @@ def test_empty_team_over_empty_domain_has_no_file_form():
     assert format_team(team) == "\n"
     with pytest.raises(ModelError):
         parse_team(format_team(team))
+
+
+def test_team_value_outside_the_universe():
+    model = parse_model("universe: a b")
+    check_team_in_model(parse_team("x,y\na,b\nb,b\n"), model)
+    with pytest.raises(ModelError) as info:
+        check_team_in_model(parse_team("x,y\na,b\nb,c\n"), model)
+    assert str(info.value) == "team element 'c' not in the model universe"
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the whole-table readers against per-tuple and per-row
+# readings, kept here as the references
+
+_TUPLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def _ref_parse_tuples(body, arity):
+    for chunk in _TUPLE_RE.findall(body):
+        items = tuple(map(str.strip, chunk.split(","))) if chunk.strip() else ()
+        if len(items) != arity:
+            raise ModelError(f"tuple ({chunk}) does not match arity {arity}")
+        yield items
+    stray = _TUPLE_RE.sub("", body).strip()
+    if stray:
+        raise ModelError(f"unexpected text {stray!r} in table")
+
+
+def _ref_parse_team(text: str) -> Team:
+    if text.strip() == "<empty-domain>":
+        return SINGLETON_EMPTY_DOMAIN
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if "".join(row).strip()]
+    except csv.Error as e:
+        raise ModelError(f"team file is not valid CSV: {e}") from None
+    if not rows:
+        raise ModelError("team file needs a header row (or the line '<empty-domain>')")
+    header = [h.strip() for h in rows[0]]
+    width, body = len(header), rows[1:]
+    if len(set(header)) != width:
+        raise ModelError("duplicate variables in team header")
+    if "" in header:
+        raise ModelError("empty variable name in team header")
+    if not set(map(len, body)) <= {width}:
+        row = next(r for r in body if len(r) != width)
+        raise ModelError(f"team row {row!r} does not match header")
+    order = sorted(range(width), key=header.__getitem__)
+    if order != list(range(width)):
+        body = map(itemgetter(*order), body)
+    rows = frozenset([tuple(map(str.strip, row)) for row in body])
+    return check_team(Team(tuple(sorted(header)), rows))
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ModelError as e:
+        return f"ModelError: {e}"
+
+
+# \xa0 and \u3000 are whitespace to str.split and str.strip alike
+_PAD = st.sampled_from(["", "", " ", "  ", "\t", "\xa0", "\u3000"])
+_CELL_TEXT = st.sampled_from(["a", "b", "1", "ab", "a b", "", "'"])
+_STRAY = st.sampled_from(["b", ")", "(", "((a)", "a)", ",", "x y", "()(", "#c"])
+
+
+@st.composite
+def _tables(draw):
+    """A relation arity and a table body: chunks with padded or blank cells,
+    and, in half the bodies, chunks of another arity, blank chunks and stray
+    text."""
+    arity = draw(st.sampled_from([0, 1, 1, 2, 2, 3]))
+    faulty = draw(st.booleans())
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        fault = faulty and draw(st.integers(0, 3)) == 0
+        if fault and draw(st.booleans()):
+            parts.append(draw(_STRAY))
+            continue
+        width = draw(st.integers(0, 3)) if fault else arity
+        cells = [draw(_PAD) + draw(_CELL_TEXT) + draw(_PAD) for _ in range(width)]
+        parts.append("(" + (",".join(cells) if cells else draw(_PAD)) + ")")
+    seps = [draw(st.sampled_from(["", " ", "  ", "\t", "\xa0"])) for _ in parts]
+    body = "".join(sep + part for sep, part in zip(seps, parts)) + draw(_PAD)
+    return arity, body
+
+
+@given(st.one_of(_tables(), st.tuples(st.integers(0, 3),
+                                      st.text("(),ab \t\xa0#", max_size=24))),
+       st.sampled_from(["\n", "\r\n"]))
+@example((2, "(a,b,1) (a)"), "\n")  # the comma counts balance over the table
+@example((3, "(a,b) (a,b,1,a)"), "\n")
+@example((1, ""), "\n")
+@example((0, "() ( )"), "\n")
+@settings(max_examples=600, deadline=None)
+def test_parse_model_matches_per_tuple_reading(table, newline):
+    """parse_model gives the model, or the ModelError message, that a
+    per-tuple reading of each relation table gives."""
+    arity, body = table
+    text = newline.join(["universe: a b 1 ab", f"relation R/{arity}: {body}",
+                         "relation E/2:", "constant c: a", ""])
+    with mock.patch.object(models, "_parse_tuples",
+                           lambda b, k: frozenset(_ref_parse_tuples(b, k))):
+        want = _outcome(parse_model, text)
+    assert _outcome(parse_model, text) == want
+    assert _outcome(models._parse_tuples, body, arity) == _outcome(
+        lambda: frozenset(_ref_parse_tuples(body, arity)))
+
+
+_TEAM_CELL = st.sampled_from(["0", "1", "a b", "", ",", '"', "x\ny", "<empty-domain>"])
+_BLANK_ROW = st.sampled_from(["", " ", "\t", ",", " , ", ",,", '""', '" "'])
+
+
+@st.composite
+def _team_texts(draw):
+    """A team file: a header of one to three variables and rows of padded,
+    quoted or empty cells, blank and all-comma rows; in half the files, a
+    repeated or empty variable or rows of another width."""
+    width = draw(st.integers(1, 3))
+    faulty = draw(st.booleans())
+    header = draw(st.permutations(["x", "y", "z"]))[:width]
+    if faulty and draw(st.booleans()):
+        header[-1] = draw(st.sampled_from(["", header[0]]))
+
+    def cell(text):
+        pad = draw(_PAD)
+        if draw(st.booleans()) or text in (",", '"') or "\n" in text:
+            return '"' + pad + text.replace('"', '""') + pad + '"'
+        return pad + text + pad
+
+    lines = [",".join(map(cell, header))]
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(1, 4)) if faulty and draw(st.integers(0, 3)) == 0 else width
+        lines.append(",".join(cell(draw(_TEAM_CELL)) for _ in range(n)))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BLANK_ROW))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@given(st.one_of(_team_texts(), st.text('ab1,"\n\r \t', max_size=30)))
+@settings(max_examples=600, deadline=None)
+def test_parse_team_matches_per_row_reading(text):
+    """parse_team gives the team, or the ModelError message, that a per-row
+    reading gives."""
+    assert _outcome(parse_team, text) == _outcome(_ref_parse_team, text)

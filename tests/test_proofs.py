@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from inclogic.parser import parse_formula
 from inclogic.proofs import (
@@ -265,3 +268,88 @@ qed 13
 def test_weak_neg_shape():
     weak = weak_neg_of(f("u = v"))
     assert weak == f("E y. E y1. (y,y1 <= u,v & ~y = y1)")
+
+
+# ---------------------------------------------------------------------------
+# parse_script's error contract: every raise site, with its exact message and
+# line number
+
+_A = "1: x = x assume\n"
+SCRIPT_ERRORS = [
+    # sig directive
+    ("sig: relation R\n" + _A + "qed 1\n", "line 1: bad signature directive 'sig: relation R'", 1),
+    ("sig: relation R/2\nsig: relation R/1\n" + _A + "qed 1\n",
+     "line 2: relation 'R' declared with two arities", 2),
+    ("sig: function f/1\nsig: function f/2\n" + _A + "qed 1\n",
+     "line 2: function 'f' declared with two arities", 2),
+    # qed
+    (_A + "qed\n", "line 2: qed needs a step id", 2),
+    (_A + "qed 1\nqed 1\n", "line 3: duplicate qed line", 3),
+    (_A + "qed 1\n2: x = x assume\n", "line 3: steps after the qed line", 3),
+    (_A, "missing final qed line", None),
+    (_A + "qed 2\n", "qed refers to unknown step '2'", None),
+    # step id
+    ("1 x = x assume\nqed 1\n", "line 1: expected '<id>: ...', got '1 x = x assume'", 1),
+    (_A + "1: y = y assume\nqed 1\n", "line 2: duplicate step id '1'", 2),
+    # rule
+    (_A + "2: x = x |- x = x from 1\nqed 2\n",
+     "line 2: expected '... by rule(params) [from ids]'", 2),
+    (_A + "2: x = x |- x = abby andE_l from 1\nqed 2\n",
+     "line 2: expected '... by rule(params) [from ids]'", 2),
+    (_A + "2: x = x |- x = x by nosuch from 1\nqed 2\n", "line 2: unknown rule 'nosuch'", 2),
+    # |-
+    (_A + "2: x = x by andE_l from 1\nqed 2\n", "line 2: expected 'context |- formula'", 2),
+    # premise order
+    (_A + "2: x = x |- x = x by andE_l from 3\nqed 2\n",
+     "line 2: premise '3' does not precede its use", 2),
+    # parameters, by kind
+    (_A + "2: x = x |- x = x by andE_l(phi) from 1\nqed 2\n", "line 2: bad parameter 'phi'", 2),
+    (_A + "2: x = x |- x = x by andE_l(= x = x) from 1\nqed 2\n",
+     "line 2: bad parameter '= x = x'", 2),
+    (_A + "2: x = x |- x = x by andE_l(nosuch = x) from 1\nqed 2\n",
+     "line 2: unknown parameter 'nosuch'", 2),
+    (_A + "2: x = x |- x = x by andE_l(t = f(x)) from 1\nqed 2\n",
+     "line 2: unexpected trailing input '(' at position 1: ...'(x)'", 2),
+    (_A + "2: x = x |- x = x by andE_l(phi = x =) from 1\nqed 2\n",
+     "line 2: expected a term, found '' at position 3: ...''", 2),
+    (_A + "2: x = x |- x = x by andE_l(add = (x) from 1\nqed 2\n",
+     "line 2: expected '=', '<', '<=', ',' or 'ups' after term, found '' at position 2: ...''",
+     2),
+    (_A + "2: x = x |- x = x by andE_l(var = 1x) from 1\nqed 2\n",
+     "line 2: parameter 'var' must be a variable", 2),
+    (_A + "2: x = x |- x = x by andE_l(pivots = x,,y) from 1\nqed 2\n",
+     "line 2: parameter 'pivots' must be a variable sequence", 2),
+    (_A + "2: x = x |- x = x by andE_l(keep = -1) from 1\nqed 2\n",
+     "line 2: parameter 'keep' must be an integer", 2),
+    # formula errors: an assumption, a context formula, a conclusion
+    ("1: x = assume\nqed 1\n", "line 1: expected a term, found '' at position 3: ...''", 1),
+    (_A + "2: x = x; y <= |- x = x by andE_l from 1\nqed 2\n",
+     "line 2: expected a variable, found '' at position 4: ...''", 2),
+    (_A + "2: x = x |- x = $ by andE_l from 1\nqed 2\n",
+     "line 2: unexpected character at position 3: ...' $'", 2),
+]
+
+
+@pytest.mark.parametrize("text, message, lineno", SCRIPT_ERRORS)
+def test_script_error_message(text, message, lineno):
+    with pytest.raises(ScriptError) as info:
+        parse_script(text)
+    assert (str(info.value), info.value.lineno) == (message, lineno)
+
+
+# the step-line rule pattern as first written, with a leading \b
+_RULE_RE_WITH_B = re.compile(
+    r"\bby\s+([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*(?:from\s+([A-Za-z0-9_,\s]*))?$"
+)
+_RULE_LINE = st.lists(st.sampled_from(
+    ["by", "by", "b", "y", "aby", "éby", "_by", " ", " ", "\t", "\n", "(", ")", "from",
+     "1", ",", "x", "andE_l", "|-", "=", ";", "é", "-", "x = x"]), max_size=14).map("".join)
+
+
+@given(_RULE_LINE)
+@example("E x. xby andE_l from 1 by andE_r")
+@settings(max_examples=1000, deadline=None)
+def test_rule_pattern_matches_the_leading_boundary_form(line):
+    old = _RULE_RE_WITH_B.search(line)
+    new = script_module._RULE_RE.search(line)
+    assert (old and (old.span(), old.groups())) == (new and (new.span(), new.groups()))
