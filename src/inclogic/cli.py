@@ -270,7 +270,8 @@ def _dispatch(args, out: Output) -> int:
             all_ok &= result.ok
             out.emit(result.line(), name=result.name, ok=result.ok,
                      passed=result.passed, failed=result.failed,
-                     elapsed=round(result.elapsed, 2), notes=result.notes[:5])
+                     elapsed=round(result.elapsed, 2), notes=result.notes[:5],
+                     skipped=dict(result.skipped))
         return EXIT_TRUE if all_ok else EXIT_FALSE
 
     raise FormulaError(f"unknown command {args.command!r}")

@@ -5,12 +5,17 @@ Two engines:
 * ``eval_naive`` follows the satisfaction definition literally — it
   searches every cover for a disjunction and every supplement function for
   a lax existential.  It is the oracle: slow, guarded, and trusted.
-* ``eval_fast`` computes the maximal satisfying subteam (sound because
-  inclusion-logic formulas are closed under unions) in one deletion pass
-  over the grounded formula, and reports whether it is the whole team.
+* the maximal-subteam engine deletes rows of the grounded formula to the
+  greatest fixpoint, the maximal satisfying subteam (inclusion logic is
+  closed under unions).  ``max_subteam`` runs it to the end; ``eval_fast``
+  is true at once on an empty team and stops at the first team row dropped,
+  by a root first-order conjunct before anything below it is grounded or in
+  the deletion loop.  So it may be false where ``max_subteam`` raises
+  ``GuardExceeded``; it never gives the other verdict.
 
 Both engines treat first-order subformulas with the flat clause
-"every row satisfies it", which is itself a clause of the definition.
+"every row satisfies it", which is itself a clause of the definition; the
+fast engine compiles each one once per call to a test on row tuples.
 ``eval_naive(..., fo_flat=False)`` forces team-style recursion through
 first-order connectives too, which is what the flatness property tests
 exercise.
@@ -128,26 +133,19 @@ def _fo(model: Model, s: dict[str, str], f: Formula) -> bool:
 def duplicate(team: Team, var: str, model: Model) -> Team:
     """X(M/x): extend (or overwrite) ``var`` with every universe element."""
     dom, insert_at, replaced = _extended_domain(team.domain, var)
-    rows = set()
-    for row in team.rows:
-        for a in model.universe:
-            rows.add(_extend_row(row, insert_at, replaced, a))
-    return Team(dom, frozenset(rows))
+    return Team(dom, frozenset(_extend_row(row, insert_at, replaced, a)
+                               for row in team.rows for a in model.universe))
 
 
 def supplement(team: Team, var: str, choice: Mapping[tuple[str, ...], frozenset[str]]) -> Team:
     """X(F/x) for F given per row; every image must be a nonempty set."""
     if set(choice) != set(team.rows):
         raise EvalError("supplement function must be defined on exactly the team rows")
+    if not all(choice.values()):
+        raise EvalError("supplement function images must be nonempty")
     dom, insert_at, replaced = _extended_domain(team.domain, var)
-    rows = set()
-    for row in team.rows:
-        image = choice[row]
-        if not image:
-            raise EvalError("supplement function images must be nonempty")
-        for a in image:
-            rows.add(_extend_row(row, insert_at, replaced, a))
-    return Team(dom, frozenset(rows))
+    return Team(dom, frozenset(_extend_row(row, insert_at, replaced, a)
+                               for row in team.rows for a in choice[row]))
 
 
 def _extended_domain(domain: tuple[str, ...], var: str) -> tuple[tuple[str, ...], int, bool]:
@@ -158,9 +156,7 @@ def _extended_domain(domain: tuple[str, ...], var: str) -> tuple[tuple[str, ...]
 
 
 def _extend_row(row: tuple[str, ...], at: int, replaced: bool, value: str) -> tuple[str, ...]:
-    if replaced:
-        return row[:at] + (value,) + row[at + 1:]
-    return row[:at] + (value,) + row[at:]
+    return row[:at] + (value,) + row[at + replaced:]  # a replaced value is skipped
 
 
 def _check_input(team: Team, f: Formula):
@@ -273,34 +269,21 @@ class _NaiveState:
         return False
 
     def _exists(self, f: Exists, team: Team) -> bool:
+        dom, insert_at, replaced = _extended_domain(team.domain, f.var)
         if team.is_empty():
             # the empty supplement function yields the empty team
-            return self.eval(f.body, Team(*_empty_like(team, f.var)))
-        rows = sorted(team.rows)
-        subsets = _nonempty_subsets(self.model.universe)
-        dom, insert_at, replaced = _extended_domain(team.domain, f.var)
+            return self.eval(f.body, Team(dom, frozenset()))
+        rows, universe = sorted(team.rows), self.model.universe
+        subsets = [c for k in range(1, len(universe) + 1)
+                   for c in itertools.combinations(universe, k)]
         # every supplement function, smallest images first
         for images in itertools.product(subsets, repeat=len(rows)):
             self.tick()
-            out = set()
-            for row, image in zip(rows, images):
-                for a in image:
-                    out.add(_extend_row(row, insert_at, replaced, a))
-            if self.eval(f.body, Team(dom, frozenset(out))):
+            out = frozenset(_extend_row(row, insert_at, replaced, a)
+                            for row, image in zip(rows, images) for a in image)
+            if self.eval(f.body, Team(dom, out)):
                 return True
         return False
-
-
-def _empty_like(team: Team, var: str) -> tuple[tuple[str, ...], frozenset]:
-    dom, _, _ = _extended_domain(team.domain, var)
-    return dom, frozenset()
-
-
-def _nonempty_subsets(universe: tuple[str, ...]) -> list[tuple[str, ...]]:
-    out = []
-    for k in range(1, len(universe) + 1):
-        out.extend(itertools.combinations(universe, k))
-    return out
 
 
 _COST_SATURATION = 1e18
@@ -311,11 +294,7 @@ def naive_cost_estimate(f: Formula, rows: int, universe: int,
     """Rough upper bound on naive clause expansions, saturating at 1e18;
     used to sample feasible instances for the oracle-equivalence suites."""
     rows = min(rows, 4096)
-    if isinstance(f, (Bottom, Equals, Relation, Inclusion)):
-        return max(rows, 1)
-    if fo_flat and is_first_order(f):
-        return max(rows, 1)
-    if isinstance(f, Not):
+    if isinstance(f, (Bottom, Equals, Relation, Inclusion, Not)) or fo_flat and is_first_order(f):
         return max(rows, 1)
     if isinstance(f, And):
         return min(naive_cost_estimate(f.left, rows, universe, fo_flat)
@@ -346,17 +325,29 @@ MAX_ROWS = 1_000_000
 
 
 def max_subteam(model: Model, team: Team, f: Formula) -> Team:
-    """The largest subteam of ``team`` satisfying ``f``.
+    """The largest subteam of ``team`` satisfying ``f``."""
+    return Team(team.domain, team.rows.difference(_dropped(model, team, f)))
 
-    Exists and is unique because inclusion-logic formulas are closed under
-    unions of satisfying teams.  ``f`` is grounded top down into cells, the
-    rows of an ``And`` chain that pass its first-order conjuncts, a quantifier
-    body only at the values its relation atom or equality allows (``MAX_ROWS``
-    still counts candidate rows).  Rows are then deleted to the greatest
-    fixpoint in time linear in the grounding, dying rows spreading over the
-    same values.
-    """
+
+def eval_fast(model: Model, team: Team, f: Formula) -> bool:
+    """Satisfaction: no team row leaves the maximal subteam."""
+    return next(_dropped(model, team, f), None) is None
+
+
+def _dropped(model: Model, team: Team, f: Formula):
+    """Yields each team row outside the maximal subteam as soon as it is known.
+
+    A first-order ``f`` is one row test.  Otherwise ``f`` is grounded top down
+    into cells, the rows of an ``And`` chain that pass its first-order
+    conjuncts, a quantifier body only at the values its relation atom or
+    equality allows (``MAX_ROWS`` counts candidate rows), and rows are deleted
+    to the greatest fixpoint in time linear in the grounding."""
     _check_input(team, f)
+    if not team.rows:
+        return
+    if f._first_order:  # the flat clause
+        yield from itertools.filterfalse(_row_test(model, team.domain, f), team.rows)
+        return
     universe = model.universe
     grounded = len(team.rows)
     root, edges, dead = [], [], []
@@ -380,6 +371,8 @@ def max_subteam(model: Model, team: Team, f: Formula) -> Team:
             rows = [r for r in rows if test(r)]
         # live rows, the watches they feed, whether deaths matter below, ``values``
         cell = (set(rows), [], not g._first_order, values)
+        if siblings is root and len(cell[0]) < len(team.rows):
+            yield from team.rows.difference(cell[0])
         siblings.append(cell)
         for h in incs:
             # AC-4: a row lives while some row supports its left value
@@ -409,23 +402,22 @@ def max_subteam(model: Model, team: Team, f: Formula) -> Team:
         ckey, pkey, below = _key(at), _key(pat), [k for k in kids if k[2]]
         _watch(kids, ckey, [parent], pkey, _spread([parent], pat, lambda k: universe), need, dead)
         _watch([parent], pkey, [], None, _spread(below, at, kids[0][3]), 1, dead)
-    while dead:
-        cell, row = dead.pop()
-        if row in cell[0]:
-            cell[0].remove(row)
-            for key, counts, targets, need in cell[1]:
-                k = key(row)
-                counts[k] -= 1
-                if counts[k] == need - 1:
-                    dead += targets(k)
-    for cell in root + [kid for _, kids, *_ in edges for kid in kids]:
-        cell[1].clear()  # the watches refer back to the cells: free the cycles now
-    return Team(team.domain, frozenset(root[0][0]))
-
-
-def eval_fast(model: Model, team: Team, f: Formula) -> bool:
-    """Satisfaction via the maximal-subteam engine."""
-    return max_subteam(model, team, f).rows == team.rows
+    top = root[0]
+    try:
+        while dead:
+            cell, row = dead.pop()
+            if row in cell[0]:
+                cell[0].remove(row)
+                if cell is top:
+                    yield row
+                for key, counts, targets, need in cell[1]:
+                    k = key(row)
+                    counts[k] -= 1
+                    if counts[k] == need - 1:
+                        dead += targets(k)
+    finally:
+        for cell in root + [kid for _, kids, *_ in edges for kid in kids]:
+            cell[1].clear()  # the watches refer back to the cells: free the cycles now
 
 
 def _watch(src: list, skey, dst: list, dkey, targets, need: int, dead: list) -> None:
@@ -480,17 +472,65 @@ def _values(model: Model, dom: tuple[str, ...], at: int, fo: list):
     return lambda k: model.universe
 
 
-def _row_test(model: Model, dom: tuple[str, ...], f: Formula):
-    """First-order ``f`` as a test on rows over ``dom``; equalities and
-    relation atoms between variables read the row's positions directly."""
-    if isinstance(f, Equals) and isinstance(f.left, Var) and isinstance(f.right, Var):
-        i, j = dom.index(f.left.name), dom.index(f.right.name)
-        return lambda r: r[i] == r[j]
-    if isinstance(f, Relation) and f.args and all(isinstance(a, Var) for a in f.args):
-        pos, table = _positions(dom, tuple(a.name for a in f.args)), model.relations[f.name]
-        get = itemgetter(*pos) if len(pos) > 1 else lambda r: (r[pos[0]],)
-        return lambda r: get(r) in table
-    return lambda r: _fo(model, dict(zip(dom, r)), f)
+def _row_test(model: Model, names: tuple[str, ...], f: Formula):
+    """First-order ``f`` compiled to a test on rows holding ``names[i]`` at
+    position ``i``.  A quantifier appends its value to the row, so a variable
+    reads the last position that names it."""
+    if isinstance(f, Equals):
+        if isinstance(f.left, Var) and isinstance(f.right, Var):
+            i, j = _last(names, f.left.name), _last(names, f.right.name)
+            return lambda r: r[i] == r[j]
+        left, right = _term(model, names, f.left), _term(model, names, f.right)
+        return lambda r: left(r) == right(r)
+    if isinstance(f, Relation):
+        args, table = _args(model, names, f.args), model.relations[f.name]
+        return lambda r: args(r) in table
+    if isinstance(f, Not):
+        body = _row_test(model, names, f.body)
+        return lambda r: not body(r)
+    if isinstance(f, (And, Or)):
+        # a chain of one connective flattened on a stack, as in ``_fo``
+        chain, tests, stack = type(f), [], [f]
+        while stack:
+            g = stack.pop()
+            if type(g) is chain:
+                stack += (g.right, g.left)
+            else:
+                tests.append(_row_test(model, names, g))
+        if len(tests) == 2:
+            a, b = tests
+            return (lambda r: a(r) or b(r)) if chain is Or else lambda r: a(r) and b(r)
+        join = any if chain is Or else all
+        return lambda r: join(t(r) for t in tests)
+    if isinstance(f, (Exists, Forall)):
+        body, universe = _row_test(model, names + (f.var,), f.body), model.universe
+        join = any if isinstance(f, Exists) else all
+        return lambda r: join(body(r + (a,)) for a in universe)
+    return lambda r: False  # ``bot``
+
+
+def _last(names: tuple[str, ...], var: str) -> int:
+    return len(names) - 1 - names[::-1].index(var)
+
+
+def _term(model: Model, names: tuple[str, ...], t: Term):
+    """Row -> the value of ``t``."""
+    if isinstance(t, Var):
+        return itemgetter(_last(names, t.name))
+    if isinstance(t, Const):
+        value = model.constants[t.name]
+        return lambda r: value
+    args, table = _args(model, names, t.args), model.functions[t.func]
+    return lambda r: table[args(r)]
+
+
+def _args(model: Model, names: tuple[str, ...], terms: tuple[Term, ...]):
+    """Row -> the tuple of the values of ``terms``."""
+    if terms and all(isinstance(t, Var) for t in terms):
+        pos = [_last(names, t.name) for t in terms]
+        return itemgetter(*pos) if len(pos) > 1 else lambda r: (r[pos[0]],)
+    gets = [_term(model, names, t) for t in terms]
+    return lambda r: tuple([g(r) for g in gets])
 
 
 def evaluate(model: Model, team: Team, f: Formula, engine: str = "fast",
@@ -501,7 +541,7 @@ def evaluate(model: Model, team: Team, f: Formula, engine: str = "fast",
         raise EvalError(f"unknown engine {engine!r}")
     if engine == "naive":
         return eval_naive(model, team, f, guards)
-    fast = (max_subteam(model, team, f) if subteam is None else subteam).rows == team.rows
+    fast = eval_fast(model, team, f) if subteam is None else subteam.rows == team.rows
     if engine == "both":
         naive = eval_naive(model, team, f, guards)
         if fast != naive:

@@ -14,7 +14,8 @@ SEED = suites.DEFAULT_SEED
 def _finish(number: int, label: str, result, budget: float):
     status = "PASS" if result.ok and result.elapsed <= budget else "FAIL"
     print(f"[criterion {number}] {status}: {label} — {result.passed} checks,"
-          f" {result.failed} violations, {result.elapsed:.1f}s (budget {budget:.0f}s)")
+          f" {result.failed} violations, {result.elapsed:.1f}s (budget {budget:.0f}s)"
+          f"{result.skips()}")
     assert result.failed == 0, result.notes
     assert result.elapsed <= budget, f"exceeded {budget}s budget"
 

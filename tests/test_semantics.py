@@ -1,10 +1,11 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from inclogic import semantics
+from inclogic import semantics, suites
 from inclogic.models import SINGLETON_EMPTY_DOMAIN, Model, Team, parse_model, parse_team
 from inclogic.parser import parse_formula
 from inclogic.semantics import (
@@ -33,8 +34,10 @@ from inclogic.syntax import (
     Or,
     Signature,
     conj,
+    disj,
     free_vars,
     is_first_order,
+    subformulas,
 )
 
 ORDER = parse_model("""
@@ -384,3 +387,163 @@ class TestAgainstFixpoint:
         start = time.perf_counter()
         assert max_subteam(model, nodes, f).rows == frozenset()
         assert time.perf_counter() - start < 0.25
+
+
+# ---------------------------------------------------------------------------
+# Compiled row tests against the literal first-order reading
+
+def _assert_row_test_matches_fo(model, dom, g, rows):
+    test = semantics._row_test(model, dom, g)
+    for row in rows:
+        assert test(row) == _fo(model, dict(zip(dom, row)), g), (g, dom, row)
+
+
+def _fo_subformulas(f):
+    return [g for g in subformulas(f) if is_first_order(g)]
+
+
+class TestRowTest:
+    def test_criterion_1_stream(self):
+        # the suite's instances: every first-order subformula, on the team's
+        # rows and on random rows over the same domain
+        rng = random.Random(1)
+        stream = suites.oracle_stream(suites.DEFAULT_SEED, Counter())
+        for model, team, f in itertools.islice(stream, 10_000):
+            extra = [tuple(rng.choice(model.universe) for _ in team.domain) for _ in range(3)]
+            for g in _fo_subformulas(f):
+                _assert_row_test_matches_fo(model, team.domain, g, sorted(team.rows) + extra)
+
+    def test_criterion_3_stream(self):
+        # both sides of every instance; the rendered normal form's subformulas
+        # read its fresh variables, so the domain is widened to them
+        rng = random.Random(3)
+        stream = suites.normalform_stream(suites.DEFAULT_SEED, Counter())
+        for f, rendered, model, team in itertools.islice(stream, 1000):
+            for g in _fo_subformulas(f) + _fo_subformulas(rendered):
+                dom = tuple(sorted(free_vars(g) | set(team.domain)))
+                rows = [tuple(rng.choice(model.universe) for _ in dom) for _ in range(4)]
+                _assert_row_test_matches_fo(model, dom, g, rows)
+
+    @pytest.mark.parametrize("text", [
+        "E x. (R(x,y) & ~x = y)", "A y. (x = y | R(y,x))", "E x. E x. R(x,y)",
+        "E y. (R(x,y) & A y. R(y,x))", "A x. E y. (R(x,y) & E x. R(y,x))",
+        "x = k", "R(k,x)", "k = k", "f(x) = y", "R(f(f(x)), g(x,k))",
+        "E z. g(z,x) = f(y)", "Q", "~Q", "Q & x = y", "bot", "~bot", "x = y | bot",
+        "E x. bot", "A x. ~bot",
+    ])
+    def test_pinned(self, text):
+        # re-quantified domain variables, constants, function terms, 0-ary
+        # relation atoms (true and false) and bot, on every row over (x, y)
+        for q in ("()", ""):
+            model = parse_model(FUNC_MODEL.replace("relation Q/0: ()", f"relation Q/0: {q}"))
+            dom = ("x", "y")
+            rows = list(itertools.product(model.universe, repeat=2))
+            _assert_row_test_matches_fo(model, dom, fml(text, model), rows)
+
+    def test_long_flat_chains(self):
+        rows = list(itertools.product(ORDER.universe, repeat=2))
+        for many in (conj([fml("x = x")] * 3000 + [fml("x < y")]),
+                     disj([fml("x = y")] * 3000 + [fml("x < y")]),
+                     conj([fml("E x. x < y")] * 3000)):
+            _assert_row_test_matches_fo(ORDER, ("x", "y"), many, rows)
+
+
+FUNC_MODEL = """
+universe: a b c
+relation Q/0: ()
+relation R/2: (a,b) (b,c) (b,b) (c,a)
+function f/1: (a)->b (b)->c (c)->c
+function g/2: (a,a)->a (a,b)->c (a,c)->c (b,a)->b (b,b)->a (b,c)->c (c,a)->a (c,b)->b (c,c)->b
+constant k: b
+"""
+
+
+# ---------------------------------------------------------------------------
+# The verdict run against the full run and the naive engine
+
+def _judge(model, team, f):
+    """eval_fast's verdict, checked against max_subteam and, where its guards
+    allow, eval_naive."""
+    verdict = eval_fast(model, team, f)
+    assert verdict == (max_subteam(model, team, f).rows == team.rows), (f, team)
+    try:
+        assert verdict == eval_naive(model, team, f), (f, team)
+    except GuardExceeded:
+        pass
+    return verdict
+
+
+class TestVerdictRun:
+    def test_criterion_1_stream(self):
+        # with the empty team over the same domain, and the singleton team
+        # over the empty domain for the stream's sentences
+        verdicts = Counter()
+        stream = suites.oracle_stream(suites.DEFAULT_SEED, Counter())
+        for model, team, f in itertools.islice(stream, 3000):
+            verdicts[_judge(model, team, f)] += 1
+            assert _judge(model, Team(team.domain, frozenset()), f)
+            if not free_vars(f):
+                verdicts[_judge(model, SINGLETON_EMPTY_DOMAIN, f)] += 1
+        assert verdicts[True] > 500 and verdicts[False] > 500
+
+    def test_root_conjunct_fails_on_one_row(self):
+        team = parse_team("x,y\n0,1\n1,2\n2,0\n")
+        for text in ("x < y & y <= x", "y <= x & x < y", "x < y & E z. (z <= x)",
+                     "x < y"):
+            assert not _judge(ORDER, team, fml(text))
+        assert max_subteam(ORDER, team, fml("x < y")).rows == {("0", "1"), ("1", "2")}
+
+    def test_first_death_deep_in_a_chain(self):
+        # the only failing row dies in the innermost disjunct of an
+        # Or/Exists chain and reaches the root by propagation
+        team = parse_team("x,y\n0,1\n1,2\n0,2\n")
+        for text in ("E z. (x = z & (bot | E u. (u = y & (bot | u <= x))))",
+                     "E z. (z = x & (bot | E u. (u = z & (bot | y <= u))))",
+                     "bot | E u. (u = y & (bot | E v. (v = u & (bot | v <= x))))"):
+            f = fml(text)
+            assert not _judge(ORDER, team, f)
+            assert max_subteam(ORDER, team, f) == _fixpoint_max_subteam(ORDER, team, f)
+        assert _judge(ORDER, team, fml("E z. (x = z & (bot | E u. (u = x & (bot | u <= x))))"))
+
+    def test_empty_domain_and_empty_teams(self):
+        sentence = fml("E x. E y. (y <= x & y < x)", CYCLE)
+        assert _judge(CYCLE, SINGLETON_EMPTY_DOMAIN, sentence)
+        assert not _judge(ORDER, SINGLETON_EMPTY_DOMAIN, sentence)
+        assert not _judge(ORDER, SINGLETON_EMPTY_DOMAIN, fml("bot"))
+        for team in (Team((), frozenset()), Team(("x",), frozenset())):
+            for text in ("bot", "A y. E z. (z <= y & y < z)", "E x. ~x = x"):
+                assert _judge(ORDER, team, fml(text))
+
+    def test_verdict_inside_the_grounding_budget(self, monkeypatch):
+        # a root conjunct drops a row before the quantifiers are grounded, so
+        # the verdict is false where the full run trips the budget
+        monkeypatch.setattr(semantics, "MAX_ROWS", 50)
+        team = parse_team("x\n0\n1\n2\n")
+        f = fml("(E v. x < v) & A y. A z. A u. x <= u")
+        assert not eval_fast(ORDER, team, f)
+        with pytest.raises(GuardExceeded, match="grounding exceeds 50 rows"):
+            max_subteam(ORDER, team, f)
+        assert not eval_naive(ORDER, team, f)
+
+    def test_budget_never_changes_a_verdict(self, monkeypatch):
+        # under a small budget a verdict may come where the full run trips
+        # it, and is then false; otherwise the two agree
+        monkeypatch.setattr(semantics, "MAX_ROWS", 8)
+        early = 0
+        stream = suites.oracle_stream(suites.DEFAULT_SEED, Counter())
+        for model, team, f in itertools.islice(stream, 2000):
+            try:
+                full = max_subteam(model, team, f).rows == team.rows
+            except GuardExceeded:
+                full = None
+            try:
+                verdict = eval_fast(model, team, f)
+            except GuardExceeded:
+                assert full is None
+                continue
+            if full is None:
+                early += 1
+                assert not verdict and not eval_naive(model, team, f), f
+            else:
+                assert verdict == full, f
+        assert early > 0
