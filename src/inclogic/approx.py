@@ -117,8 +117,11 @@ class ApproxFormula:
     prefix: tuple[tuple[str, str], ...]
     conjuncts: tuple[Formula, ...]
     # per level: its existential names in display order, its universal
-    # variable and its conjuncts, from which ``formula`` is assembled
-    levels: tuple[tuple[tuple[str, ...], str, tuple[Formula, ...]], ...]
+    # variable, how many renamed copies of ``alpha``'s conjuncts open its run
+    # of ``conjuncts`` and how many conjuncts follow them; from these and
+    # ``alpha``'s shape ``formula`` is assembled
+    levels: tuple[tuple[tuple[str, ...], str, int, int], ...]
+    alpha: Formula
 
     def size(self) -> tuple[int, int]:
         """(quantified variables, matrix conjuncts)"""
@@ -128,8 +131,12 @@ class ApproxFormula:
     def formula(self) -> Formula:
         """The approximation as one sentence, assembled the first time it is
         read: the game itself plays the (prefix, conjuncts) view."""
+        rest = iter(self.conjuncts)
+        bodies = [(names, y, [*(_join(self.alpha, rest) for _ in range(copies)),
+                              *itertools.islice(rest, extra)])
+                  for names, y, copies, extra in self.levels]
         formula: Formula | None = None
-        for names, y, parts in reversed(self.levels):
+        for names, y, parts in reversed(bodies):
             parts = parts if formula is None else (*parts, formula)
             formula = exists_seq(names, Forall(y, conj(parts) if parts else TRUE))
         assert formula is not None
@@ -156,42 +163,16 @@ def build_approx(nf: NormalForm, n: int, strong: bool = False,
         raise ApproxError("universal variable name clash")
     var = {name: Var(name) for name in (*seen, *ys)}
     wx = nf.w + nf.x
-
-    def alpha_at(xi: Index) -> Formula:
-        # nf.alpha is quantifier-free, so this only renames its variables
-        return _rename(nf.alpha, {v: var[u] for v, u in zip(wx, w_of[xi] + x_of[xi])}, set())
-
-    def gamma_eq(parent: Index, i: int, child: Index) -> Iterator[Formula]:
-        rho, sigma = nf.i_atoms[i]
-        pmap = dict(zip(nf.w, w_of[parent]))
-        cmap = dict(zip(nf.w, w_of[child]))
-        for a, b in zip(rho, sigma):
-            yield Equals(var[pmap[a]], var[cmap[b]])
-
-    def delta_eq(parent: Index, eta: int, j: int, child: Index) -> Iterator[Formula]:
-        # pi^j over the parent block extended by y_eta equals tau^j over the child
-        for k in range(j - 1):
-            yield Equals(var[x_of[parent][k]], var[x_of[child][k]])
-        yield Equals(var[ys[eta]], var[x_of[child][j - 1]])
-
-    def mu_root() -> list[Formula]:
-        out: list[Formula] = []
-        root_w = dict(zip(nf.w, w_of[ROOT]))
-        for rho, sigma in nf.i_atoms:
-            out.append(Inclusion(tuple(root_w[a] for a in rho),
-                                 tuple(root_w[b] for b in sigma)))
-        for j in nf.j_indices:
-            stem = x_of[ROOT][: j - 1]
-            out.append(Inclusion(stem + (ys[0],), stem + (x_of[ROOT][j - 1],)))
-        return out
+    alpha_parts = tuple(_split_and(nf.alpha))
 
     # evaluation prefix: x-parts before w-parts inside each existential run
     # (the alpha equalities then determine most w-components immediately);
     # the emitted formula keeps the w-then-x display order, which is
     # equivalent because consecutive existentials commute
     prefix: list[tuple[str, str]] = []
-    levels: list[tuple[tuple[str, ...], str, tuple[Formula, ...]]] = []
+    levels: list[tuple[tuple[str, ...], str, int, int]] = []
     split_conjuncts: list[Formula] = []
+    root = w_of[ROOT] + x_of[ROOT]
     for m in range(n + 1):
         blocks = book.blocks(m)
         for xi in blocks:
@@ -201,41 +182,42 @@ def build_approx(nf: NormalForm, n: int, strong: bool = False,
             for name in w_of[xi]:
                 prefix.append(("E", name))
         prefix.append(("A", ys[m]))
-        parts: list[Formula] = [alpha_at(xi) for xi in blocks]
-        for part in parts:
-            split_conjuncts.extend(_split_and(part))
-        if m > 0:
-            for xi in book.levels[m].e:
-                parent, (_, i) = xi[:-1], xi[-1]
-                for eq in gamma_eq(parent, i, xi):
-                    parts.append(eq)
-                    split_conjuncts.append(eq)
-            for xi in book.levels[m].u:
-                parent, (_, eta, jpos) = xi[:-1], xi[-1]
-                for eq in delta_eq(parent, eta, nf.j_indices[jpos], xi):
-                    parts.append(eq)
-                    split_conjuncts.append(eq)
-        if strong:
-            if m == 0:
-                for atom in mu_root():
-                    parts.append(atom)
-                    split_conjuncts.append(atom)
-            else:
-                root = w_of[ROOT] + x_of[ROOT]
-                if root:
-                    for xi in blocks:
-                        atom = Inclusion(w_of[xi] + x_of[xi], root)
-                        parts.append(atom)
-                        split_conjuncts.append(atom)
+        for xi in blocks:
+            # nf.alpha is quantifier-free, so this only renames its variables
+            ren = {v: var[u] for v, u in zip(wx, w_of[xi] + x_of[xi])}
+            split_conjuncts += [_rename(part, ren, set()) for part in alpha_parts]
+        opened = len(split_conjuncts)
+        for xi in book.levels[m].e if m else ():
+            # gamma: rho^i over the parent block equals sigma^i over the child
+            rho, sigma = nf.i_atoms[xi[-1][1]]
+            pw, cw = dict(zip(nf.w, w_of[xi[:-1]])), dict(zip(nf.w, w_of[xi]))
+            split_conjuncts += [Equals(var[pw[a]], var[cw[b]]) for a, b in zip(rho, sigma)]
+        for xi in book.levels[m].u:
+            # delta: pi^j over the parent block extended by y_eta equals tau^j
+            # over the child
+            (_, eta, jpos), px, cx = xi[-1], x_of[xi[:-1]], x_of[xi]
+            j = nf.j_indices[jpos]
+            split_conjuncts += [Equals(var[px[k]], var[cx[k]]) for k in range(j - 1)]
+            split_conjuncts.append(Equals(var[ys[eta]], var[cx[j - 1]]))
+        if strong and m == 0:
+            root_w = dict(zip(nf.w, w_of[ROOT]))
+            split_conjuncts += [Inclusion(tuple(root_w[a] for a in rho),
+                                          tuple(root_w[b] for b in sigma))
+                                for rho, sigma in nf.i_atoms]
+            split_conjuncts += [Inclusion(x_of[ROOT][: j - 1] + (ys[0],), x_of[ROOT][:j])
+                                for j in nf.j_indices]
+        elif strong and root:
+            split_conjuncts += [Inclusion(w_of[xi] + x_of[xi], root) for xi in blocks]
         names = (*(v for xi in blocks for v in w_of[xi]),
                  *(v for xi in blocks for v in x_of[xi]))
-        levels.append((names, ys[m], tuple(parts)))
+        levels.append((names, ys[m], len(blocks), len(split_conjuncts) - opened))
 
     return ApproxFormula(
         book=book,
         prefix=tuple(prefix),
         conjuncts=tuple(split_conjuncts),
         levels=tuple(levels),
+        alpha=nf.alpha,
     )
 
 
@@ -245,6 +227,15 @@ def _split_and(f: Formula) -> Iterator[Formula]:
         yield from _split_and(f.right)
     else:
         yield f
+
+
+def _join(shape: Formula, parts: Iterator[Formula]) -> Formula:
+    """``shape``'s ``And`` tree over the next conjuncts of ``parts``; the
+    inverse of ``_split_and``."""
+    if isinstance(shape, And):
+        left = _join(shape.left, parts)
+        return And(left, _join(shape.right, parts))
+    return next(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +252,12 @@ def prefix_truth(model: Model, prefix: tuple[tuple[str, str], ...],
     that read ``v`` and becomes one subgame; the rest stay outside it, so
     parts of the matrix that share no variable are played independently.  A
     quantifier nothing reads is dropped (a model has at least two elements).
-    Each subgame is memoised for this call on the outer values it reads, and
-    an ``E v`` holding a conjunct ``v = u`` tries only the value of ``u``.
-    ``max_nodes`` bounds the values tried over all subgames.
+    An ``E v`` holding a conjunct ``v = u`` is folded into ``u``, since
+    ``E v (v = u & phi)`` is ``phi[u/v]``: its items are filed under ``u``
+    and ``u``'s subgame assigns ``v`` along with ``u``, so ``v`` tries no
+    value.  Each subgame is memoised for this call on the outer values it
+    reads.  ``max_nodes`` bounds the values tried over all subgames.  A
+    conjunct variable the prefix does not bind is an ``ApproxError``.
     """
     # items by number, in the order they were made: (free variables, variable
     # equality or None, test of an assignment); ``readers`` lists the numbers
@@ -287,25 +281,35 @@ def prefix_truth(model: Model, prefix: tuple[tuple[str, str], ...],
             add(free_vars(c), (a, b), lambda env, a=a, b=b: env[a] == env[b])
         else:
             add(free_vars(c), None, lambda env, c=c: _fo(model, env, c))
+    if unbound := readers.keys() - {v for _, v in prefix}:
+        raise ApproxError(f"the prefix does not bind {', '.join(sorted(unbound))}")
     budget = [max_nodes]
+    folded: dict[str, tuple[str, ...]] = {}  # variables assigned along with a variable
     for kind, var in reversed(prefix):
         inner = [items.pop(k) for k in readers.pop(var, ()) if k in items]
         if not inner:
             continue
+        names = (var, *folded.pop(var, ()))
+        u = next((eq[1] if eq[0] == var else eq[0] for _, eq, _ in inner
+                  if eq and var in eq and eq[0] != eq[1]), None) if kind == "E" else None
+        if u is not None:
+            folded[u] = folded.get(u, ()) + names
+            for fv, eq, test in inner:
+                eq = eq and (u if eq[0] == var else eq[0], u if eq[1] == var else eq[1])
+                if eq != (u, u):
+                    add(fv - {var} | {u}, eq, test)
+            continue
         reads = frozenset().union(*(fv for fv, _, _ in inner)) - {var}
-        pin = None
-        if kind == "E":
-            pin = next((eq[1] if eq[0] == var else eq[0] for _, eq, _ in inner
-                        if eq and var in eq and eq[0] != eq[1]), None)
-        add(reads, None, _subgame(model.universe, kind == "E", var, pin, tuple(reads),
+        add(reads, None, _subgame(model.universe, kind == "E", names, tuple(reads),
                                   [t for _, _, t in inner], budget, max_nodes))
     return all(test({}) for _, _, test in items.values())
 
 
-def _subgame(universe: tuple[str, ...], exists: bool, var: str, pin: str | None,
+def _subgame(universe: tuple[str, ...], exists: bool, names: tuple[str, ...],
              reads: tuple[str, ...], tests: list[Test], budget: list[int],
              max_nodes: int) -> Test:
-    """The game of one quantifier over ``tests``, memoised on ``reads``."""
+    """The game of one quantifier over ``tests``, memoised on ``reads``; each
+    value goes to every variable in ``names``."""
     memo: dict[tuple[str, ...], bool] = {}
 
     def play(env: dict[str, str]) -> bool:
@@ -313,11 +317,12 @@ def _subgame(universe: tuple[str, ...], exists: bool, var: str, pin: str | None,
         value = memo.get(key)
         if value is None:
             value = not exists
-            for a in (env[pin],) if pin else universe:
+            for a in universe:
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise GuardExceeded(f"approximation evaluation budget {max_nodes} exhausted")
-                env[var] = a
+                for v in names:
+                    env[v] = a
                 if all(test(env) for test in tests) == exists:
                     value = exists
                     break

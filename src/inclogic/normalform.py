@@ -115,8 +115,13 @@ class NormalForm:
 
 def prenex(f: Formula) -> PrenexForm:
     """Equivalent prenex form via the five extraction equivalences."""
+    return _prenex(f, set())
+
+
+def _prenex(f: Formula, used: set[str]) -> PrenexForm:
+    """``prenex(f)``, leaving in ``used`` every name of its prefix and matrix."""
     renamed = rename_bound(f)
-    used = set(all_names(renamed))
+    used |= all_names(renamed)
     prefix, matrix = _pull(renamed, used)
     return PrenexForm(tuple(prefix), matrix)
 
@@ -222,24 +227,29 @@ def _qfn(theta: Formula, used: set[str]) -> QfNormal:
 def universalize(p: PrenexForm, matrix: QfNormal, z: tuple[str, ...]) -> NormalForm:
     """Turn the whole prefix existential; universal positions become
     inclusion-atom constraints under one fresh universal variable."""
-    xs = tuple(v for _, v in p.prefix)
-    j_indices = tuple(i + 1 for i, (kind, _) in enumerate(p.prefix) if kind == FORALL)
-    used = set(z) | set(xs) | set(matrix.w) | set(all_names(matrix.alpha))
+    used = set(z) | {v for _, v in p.prefix} | set(matrix.w) | set(all_names(matrix.alpha))
     for u, v in matrix.atoms:
         used |= set(u) | set(v)
-    y = fresh_name("y", used)
-    return NormalForm(z, matrix.w, xs, y, matrix.atoms, j_indices, matrix.alpha)
+    return _universalize(p, matrix, z, used)
+
+
+def _universalize(p: PrenexForm, matrix: QfNormal, z: tuple[str, ...],
+                  used: set[str]) -> NormalForm:
+    xs = tuple(v for _, v in p.prefix)
+    j_indices = tuple(i + 1 for i, (kind, _) in enumerate(p.prefix) if kind == FORALL)
+    return NormalForm(z, matrix.w, xs, fresh_name("y", used), matrix.atoms, j_indices,
+                      matrix.alpha)
 
 
 # ---------------------------------------------------------------------------
 # Stage 4: composition and rendering
 
 def normal_form(f: Formula) -> NormalForm:
-    z = tuple(sorted(free_vars(f)))
-    pf = prenex(f)
-    reserved = set(z) | {v for _, v in pf.prefix}
-    qfn = qf_normal(pf.matrix, reserved)
-    return universalize(pf, qfn, z)
+    """The three stages, with the names of the prenex form (which each later
+    stage would gather again) carried through them as one set."""
+    used: set[str] = set()
+    pf = _prenex(f, used)
+    return _universalize(pf, _qfn(pf.matrix, used), tuple(sorted(free_vars(f))), used)
 
 
 def render(nf: NormalForm) -> Formula:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from inclogic.approx import (
     ApproxError,
     ROOT,
-    _subgame,
+    _split_and,
     build_approx,
     build_indices,
     check_approx,
@@ -23,9 +23,14 @@ from inclogic.syntax import (
     App,
     Const,
     Equals,
+    Forall,
+    Inclusion,
     Signature,
+    TRUE,
     Var,
     _rename,
+    conj,
+    exists_seq,
     free_vars,
     is_first_order,
     pretty,
@@ -87,9 +92,30 @@ def _dfs_prefix_truth(model, prefix, conjuncts, max_nodes=4_000_000):
     return all(_fo(model, {}, c) for c in ground) and rec(0)
 
 
+def _scan_subgame(universe, exists, names, reads, tests, budget, max_nodes):
+    memo = {}
+
+    def play(env):
+        key = tuple(env[u] for u in reads)
+        if key not in memo:
+            memo[key] = not exists
+            for a in universe:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise GuardExceeded(f"approximation evaluation budget {max_nodes} exhausted")
+                env.update(dict.fromkeys(names, a))
+                if all(test(env) for test in tests) == exists:
+                    memo[key] = exists
+                    break
+        return memo[key]
+
+    return play
+
+
 def _scan_prefix_truth(model, prefix, conjuncts, max_nodes=4_000_000):
-    """Reference: the miniscoping of ``prefix_truth`` with each quantifier
-    scanning the whole item list for the items that read its variable."""
+    """Reference: the miniscoping of ``prefix_truth``, folding the same
+    equality-pinned existentials, with each quantifier scanning the whole
+    item list for the items that read its variable."""
     items = []
     for c in conjuncts:
         if not (is_first_order(c) and quantifier_depth(c) == 0):
@@ -100,20 +126,75 @@ def _scan_prefix_truth(model, prefix, conjuncts, max_nodes=4_000_000):
         else:
             items.append((free_vars(c), None, lambda env, c=c: _fo(model, env, c)))
     budget = [max_nodes]
+    folded = {}
     for kind, var in reversed(prefix):
         inner = [item for item in items if var in item[0]]
         if not inner:
             continue
         items = [item for item in items if var not in item[0]]
-        reads = frozenset().union(*(fv for fv, _, _ in inner)) - {var}
+        names = (var,) + folded.pop(var, ())
         pin = None
         if kind == "E":
             pin = next((eq[1] if eq[0] == var else eq[0] for _, eq, _ in inner
                         if eq and var in eq and eq[0] != eq[1]), None)
-        items.append((reads, None, _subgame(model.universe, kind == "E", var, pin,
-                                            tuple(reads), [t for _, _, t in inner],
-                                            budget, max_nodes)))
+        if pin is not None:
+            folded[pin] = folded.get(pin, ()) + names
+            for fv, eq, test in inner:
+                if eq is not None:
+                    eq = tuple(pin if v == var else v for v in eq)
+                if eq != (pin, pin):
+                    items.append(((fv - {var}) | {pin}, eq, test))
+            continue
+        reads = frozenset().union(*(fv for fv, _, _ in inner)) - {var}
+        items.append((reads, None, _scan_subgame(model.universe, kind == "E", names,
+                                                 tuple(reads), [t for _, _, t in inner],
+                                                 budget, max_nodes)))
     return all(test({}) for _, _, test in items)
+
+
+def _whole_matrix_approx(nf, n, strong=False):
+    """Reference: ``build_approx``'s (prefix, conjuncts, formula), renaming
+    the whole matrix per block and splitting each copy into its conjuncts."""
+    book = build_indices(nf, n)
+    w_of = {xi: tuple(f"{v}_{encode_index(xi)}" for v in nf.w)
+            for m in range(n + 1) for xi in book.blocks(m)}
+    x_of = {xi: tuple(f"{v}_{encode_index(xi)}" for v in nf.x) for xi in w_of}
+    ys = [f"y{m}" for m in range(n + 1)]
+    prefix, conjuncts, levels = [], [], []
+    for m in range(n + 1):
+        blocks = book.blocks(m)
+        prefix += [("E", v) for xi in blocks for v in x_of[xi]]
+        prefix += [("E", v) for xi in blocks for v in w_of[xi]]
+        prefix.append(("A", ys[m]))
+        parts = [substitute_parallel(nf.alpha, {v: Var(u) for v, u in
+                                                zip(nf.w + nf.x, w_of[xi] + x_of[xi])})
+                 for xi in blocks]
+        split = [c for part in parts for c in _split_and(part)]
+        for xi in book.levels[m].e if m else ():
+            rho, sigma = nf.i_atoms[xi[-1][1]]
+            pw, cw = dict(zip(nf.w, w_of[xi[:-1]])), dict(zip(nf.w, w_of[xi]))
+            parts += [Equals(Var(pw[a]), Var(cw[b])) for a, b in zip(rho, sigma)]
+        for xi in book.levels[m].u if m else ():
+            (_, eta, jpos), px = xi[-1], x_of[xi[:-1]]
+            j = nf.j_indices[jpos]
+            parts += [Equals(Var(px[k]), Var(x_of[xi][k])) for k in range(j - 1)]
+            parts.append(Equals(Var(ys[eta]), Var(x_of[xi][j - 1])))
+        if strong and m == 0:
+            root_w = dict(zip(nf.w, w_of[ROOT]))
+            parts += [Inclusion(tuple(root_w[a] for a in rho), tuple(root_w[b] for b in sigma))
+                      for rho, sigma in nf.i_atoms]
+            parts += [Inclusion(x_of[ROOT][: j - 1] + (ys[0],), x_of[ROOT][:j])
+                      for j in nf.j_indices]
+        elif strong and w_of[ROOT] + x_of[ROOT]:
+            parts += [Inclusion(w_of[xi] + x_of[xi], w_of[ROOT] + x_of[ROOT]) for xi in blocks]
+        conjuncts += split + parts[len(blocks):]
+        names = [v for xi in blocks for v in w_of[xi]] + [v for xi in blocks for v in x_of[xi]]
+        levels.append((names, ys[m], parts))
+    formula = None
+    for names, y, parts in reversed(levels):
+        parts = parts if formula is None else parts + [formula]
+        formula = exists_seq(names, Forall(y, conj(parts) if parts else TRUE))
+    return tuple(prefix), tuple(conjuncts), formula
 
 
 def _criterion_5_stream(count=400):
@@ -318,12 +399,71 @@ relation R/2: (a,b) (b,a)
             assert check_approx(M3, nf, n, max_nodes=10_000)
 
     def test_budget_still_guards(self):
+        # every existential of TRIP's level 2 is pinned, so the game folds
+        # them and decides without trying a value
         af = build_approx(nf_of(TRIP), 2)
+        assert prefix_truth(M3, af.prefix, af.conjuncts, max_nodes=0) is True
+        af = build_approx(nf_of("A a. E b. R(a,b)"), 2)
         with pytest.raises(GuardExceeded):
-            prefix_truth(M3, af.prefix, af.conjuncts, max_nodes=1)
+            prefix_truth(M2, af.prefix, af.conjuncts, max_nodes=10)
+        assert prefix_truth(M2, af.prefix, af.conjuncts, max_nodes=100) is True
+
+    def test_folded_existentials_try_no_values(self):
+        v = {name: Var(name) for name in "abcd"}
+        # d = c = b = a: a chain folded into the universal a, whose game
+        # assigns all four
+        prefix = (("A", "a"), ("E", "b"), ("E", "c"), ("E", "d"))
+        chain = (Equals(v["d"], v["c"]), Equals(v["c"], v["b"]), Equals(v["b"], v["a"]))
+        assert prefix_truth(M2, prefix, chain, max_nodes=0) is True
+        p_d = chain + (sentence("P(d)"),)
+        assert prefix_truth(M2, prefix, p_d, max_nodes=2) is False
+        assert prefix_truth(M2, prefix[:1] + (("A", "b"),) + prefix[2:], p_d) is False
+        with pytest.raises(GuardExceeded):
+            prefix_truth(M2, prefix, p_d, max_nodes=1)
+
+    @pytest.mark.parametrize("texts", [("x = q",), ("R(x,q)",), ("P(q)", "x = x")])
+    def test_unbound_variables_named(self, texts):
+        conjuncts = tuple(sentence(t) for t in texts)
+        with pytest.raises(ApproxError, match="^the prefix does not bind q$"):
+            prefix_truth(M2, (("E", "x"),), conjuncts, max_nodes=0)
+        with pytest.raises(ApproxError, match="^the prefix does not bind q, x$"):
+            prefix_truth(M2, (), conjuncts)
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_folding_matches_dfs(self, data):
+        # random prefixes over chained equalities, pins to universals and
+        # equalities between variables folded into the same one
+        k = data.draw(st.integers(1, 7), "variables")
+        names = [f"v{i}" for i in range(k)]
+        prefix = tuple((data.draw(st.sampled_from("EEA")), v) for v in names)
+        var = st.sampled_from(names)
+        back = st.integers(1, k - 1).flatmap(
+            lambda i: st.tuples(st.just(names[i]), st.sampled_from(names[:i])))
+        atom = st.one_of(
+            back.map(lambda p: f"{p[0]} = {p[1]}"),
+            back.map(lambda p: f"{p[1]} = {p[0]}"),
+            st.tuples(var, var).map(lambda p: f"{p[0]} = {p[1]}"),
+            st.tuples(var, var).map(lambda p: f"~{p[0]} = {p[1]}"),
+            var.map(lambda a: f"P({a})"),
+            st.tuples(var, var).map(lambda p: f"R({p[0]},{p[1]})"),
+        ) if k > 1 else st.sampled_from(["v0 = v0", "P(v0)", "~P(v0)", "R(v0,v0)"])
+        conjuncts = tuple(sentence(t) for t in data.draw(st.lists(atom, max_size=9), "atoms"))
+        model = gen_model(random.Random(data.draw(st.integers(0, 99), "model")), max_size=3)
+        expected = _dfs_prefix_truth(model, prefix, conjuncts)
+        assert prefix_truth(model, prefix, conjuncts) == expected
+        assert _scan_prefix_truth(model, prefix, conjuncts) == expected
 
 
 class TestAgainstReferences:
+    def test_split_once_matches_whole_matrix_renaming(self):
+        for _, nf, _ in _criterion_5_stream():
+            for n in range(3):
+                for strong in (False, True):
+                    af = build_approx(nf, n, strong=strong)
+                    assert (af.prefix, af.conjuncts, af.formula) == \
+                        _whole_matrix_approx(nf, n, strong), (nf, n, strong)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=300, deadline=None)
     def test_renaming_matches_substitution(self, seed):

@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,11 +16,20 @@ from inclogic.normalform import (
 )
 from inclogic.parser import parse_formula
 from inclogic.semantics import Guards, eval_fast, eval_naive, naive_cost_estimate
-from inclogic.suites import SUITE_SIG, gen_formula, gen_model, gen_team
+from inclogic.suites import (
+    DEFAULT_SEED,
+    SUITE_SIG,
+    gen_formula,
+    gen_model,
+    gen_sentence,
+    gen_team,
+    normalform_stream,
+)
 from inclogic.syntax import (
     Exists,
     Forall,
     Inclusion,
+    Signature,
     free_vars,
     is_first_order,
     pretty,
@@ -147,6 +159,38 @@ class TestNormalForm:
             if key in seen:
                 assert seen[key] == nf
             seen[key] = nf
+
+
+def _staged_normal_form(f):
+    z = tuple(sorted(free_vars(f)))
+    pf = prenex(f)
+    return universalize(pf, qf_normal(pf.matrix, set(z) | {v for _, v in pf.prefix}), z)
+
+
+class TestOneNameSet:
+    """``normal_form`` carries one name set through its stages; its result
+    must be the staged public functions' composition, field by field."""
+
+    @staticmethod
+    def _assert_same(f):
+        nf, staged = normal_form(f), _staged_normal_form(f)
+        for field in dataclasses.fields(nf):
+            assert getattr(nf, field.name) == getattr(staged, field.name), (f, field.name)
+
+    def test_criterion_3_stream(self):
+        for f, *_ in itertools.islice(normalform_stream(DEFAULT_SEED, Counter()), 1000):
+            self._assert_same(f)
+
+    def test_criterion_5_sentences(self):
+        rng = random.Random(DEFAULT_SEED)
+        for _ in range(5000):
+            self._assert_same(gen_sentence(rng))
+
+    def test_names_of_the_signature_stay_reserved(self):
+        # fresh names must avoid the relation and constant names in the formula
+        sig = Signature({"w": 1, "y": 1}, {}, frozenset(("u", "p")))
+        for text in ("x <= z & w(x) | (A q. y(q))", "E x. x <= z | p = x & u = x"):
+            self._assert_same(parse_formula(text, sig))
 
 
 def _walk(f):
