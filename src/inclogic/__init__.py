@@ -58,7 +58,7 @@ from .semantics import (
     supplement,
 )
 from .normalform import NormalForm, PrenexForm, QfNormal, normal_form, prenex, qf_normal, render, universalize
-from .approx import ApproxFormula, IndexBook, build_approx, build_indices, check_approx
+from .approx import ApproxFormula, IndexBook, build_approx, build_indices
 from .inddep import IndProblem, IndVerdict, find_counterexample, ind_implies
 
 __version__ = "0.1.0"

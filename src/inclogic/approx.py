@@ -88,7 +88,6 @@ def build_indices(nf: NormalForm, n: int, max_blocks: int = 4000) -> IndexBook:
     j_range = range(len(nf.j_indices))
     levels = [Level((ROOT,), (), ())]
     nodes: list[Index] = [ROOT]  # creation order; level = len(index)
-    total = 1
     for m in range(1, n + 1):
         parents = levels[m - 1].e + levels[m - 1].u
         e_m = tuple(xi + (("e", i),) for xi in parents for i in i_range)
@@ -104,10 +103,9 @@ def build_indices(nf: NormalForm, n: int, max_blocks: int = 4000) -> IndexBook:
         u_m = tuple(xi + (("u", eta, j),) for (xi, eta) in a_m for j in j_range)
         levels.append(Level(e_m, u_m, a_m))
         nodes.extend(e_m + u_m)
-        total += len(e_m) + len(u_m)
-        if total > max_blocks:
+        if len(nodes) > max_blocks:
             raise GuardExceeded(
-                f"approximation needs {total} witness blocks > cap {max_blocks}")
+                f"approximation needs {len(nodes)} witness blocks > cap {max_blocks}")
     return IndexBook(tuple(levels))
 
 
@@ -146,23 +144,19 @@ class ApproxFormula:
 def build_approx(nf: NormalForm, n: int, strong: bool = False,
                  max_blocks: int = 4000) -> ApproxFormula:
     book = build_indices(nf, n, max_blocks)
+    # no two "{v}_{encode_index(xi)}" or y{m} names meet unless w + x repeats a v
+    wx = nf.w + nf.x
+    if len(set(wx)) < len(wx):
+        raise ApproxError(f"variable name clash {next(v for v in wx if wx.count(v) > 1)!r}")
     w_of: dict[Index, tuple[str, ...]] = {}
     x_of: dict[Index, tuple[str, ...]] = {}
-    seen: set[str] = set()
     for m in range(n + 1):
         for xi in book.blocks(m):
             enc = encode_index(xi)
             w_of[xi] = tuple(f"{v}_{enc}" for v in nf.w)
             x_of[xi] = tuple(f"{v}_{enc}" for v in nf.x)
-            for name in w_of[xi] + x_of[xi]:
-                if name in seen:
-                    raise ApproxError(f"variable name clash {name!r}")
-                seen.add(name)
     ys = tuple(f"y{m}" for m in range(n + 1))
-    if set(ys) & seen:
-        raise ApproxError("universal variable name clash")
-    var = {name: Var(name) for name in (*seen, *ys)}
-    wx = nf.w + nf.x
+    var = {u: Var(u) for us in (*w_of.values(), *x_of.values(), ys) for u in us}
     alpha_parts = tuple(_split_and(nf.alpha))
 
     # evaluation prefix: x-parts before w-parts inside each existential run
@@ -175,12 +169,8 @@ def build_approx(nf: NormalForm, n: int, strong: bool = False,
     root = w_of[ROOT] + x_of[ROOT]
     for m in range(n + 1):
         blocks = book.blocks(m)
-        for xi in blocks:
-            for name in x_of[xi]:
-                prefix.append(("E", name))
-        for xi in blocks:
-            for name in w_of[xi]:
-                prefix.append(("E", name))
+        prefix += [("E", v) for xi in blocks for v in x_of[xi]]
+        prefix += [("E", v) for xi in blocks for v in w_of[xi]]
         prefix.append(("A", ys[m]))
         for xi in blocks:
             # nf.alpha is quantifier-free, so this only renames its variables
@@ -332,13 +322,6 @@ def _subgame(universe: tuple[str, ...], exists: bool, names: tuple[str, ...],
     return play
 
 
-def check_approx(model: Model, nf: NormalForm, n: int,
-                 max_blocks: int = 4000, max_nodes: int = 4_000_000) -> bool:
-    """Truth of the level-n approximation of ``nf`` in the model."""
-    af = build_approx(nf, n, strong=False, max_blocks=max_blocks)
-    return prefix_truth(model, af.prefix, af.conjuncts, max_nodes=max_nodes)
-
-
 @dataclass(frozen=True)
 class ApproxReport:
     values: tuple[bool, ...]
@@ -352,12 +335,24 @@ def approx_report(model: Model, nf: NormalForm, cap: int = 3,
     """Evaluate levels 0..cap; report "approx-stable" when every level up to
     a cap beyond the stabilization bound holds.  No equivalence with the
     sentence itself is claimed."""
-    build_indices(nf, cap, max_blocks)  # a cap the guard refuses fails before any level runs
-    values = []
-    sizes = []
-    for m in range(cap + 1):
-        af = build_approx(nf, m, strong=False, max_blocks=max_blocks)
-        sizes.append(af.size())
-        values.append(prefix_truth(model, af.prefix, af.conjuncts, max_nodes=max_nodes))
-    stable = all(values) and cap >= stable_bound
-    return ApproxReport(tuple(values), tuple(sizes), stable)
+    return _report(model, build_approx(nf, cap, max_blocks=max_blocks), stable_bound, max_nodes)
+
+
+def _report(model: Model, af: ApproxFormula, stable_bound: int = 2,
+            max_nodes: int = 4_000_000) -> ApproxReport:
+    """``approx_report`` on the levels of the one build ``af``."""
+    levels = list(_levels(af))
+    values = tuple(prefix_truth(model, lv.prefix, lv.conjuncts, max_nodes) for lv in levels)
+    return ApproxReport(values, tuple(lv.size() for lv in levels),
+                        all(values) and len(levels) > stable_bound)
+
+
+def _levels(af: ApproxFormula) -> Iterator[ApproxFormula]:
+    """Levels 0, 1, ... of ``af`` as slices of it: a level-n build opens with
+    the prefix, conjuncts and index book of every lower level."""
+    width = sum(1 for _ in _split_and(af.alpha))
+    p = c = 0
+    for m, (names, _, copies, extra) in enumerate(af.levels, 1):
+        p, c = p + len(names) + 1, c + copies * width + extra
+        yield ApproxFormula(IndexBook(af.book.levels[:m]), af.prefix[:p],
+                            af.conjuncts[:c], af.levels[:m], af.alpha)

@@ -16,14 +16,14 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .approx import build_indices, check_approx, GuardExceeded as ApproxGuard
+from .approx import _report, build_approx, GuardExceeded as ApproxGuard
 from .inddep import (
     ind_implies,
     parse_ind_problem,
     replay_counterexample,
     replay_derivation,
 )
-from .models import Model, Team
+from .models import SINGLETON_EMPTY_DOMAIN, Model, Team
 from .normalform import normal_form, render
 from .proofs import check_script, mutants, parse_script
 from .semantics import (
@@ -335,7 +335,6 @@ def _has_cycle(elems: tuple[str, ...], edges: frozenset[tuple[str, str]]) -> boo
 
 def suite_wellfoundedness() -> SuiteResult:
     from .parser import parse_formula
-    from .models import SINGLETON_EMPTY_DOMAIN
 
     result = SuiteResult("non-well-foundedness sentence = cycle detection")
     start = time.monotonic()
@@ -372,38 +371,43 @@ def gen_sentence(rng: random.Random) -> Formula:
     return f
 
 
-def suite_approximations(seed: int = DEFAULT_SEED, count: int = 200,
-                         max_level: int = 2) -> SuiteResult:
-    from .models import SINGLETON_EMPTY_DOMAIN
-
+def approx_stream(seed: int, skipped: Counter, max_level: int = 2):
+    """Criterion 5's (sentence, normal form, build at ``max_level``, model)
+    from ``seed``; skipped draws are counted, by reason, in ``skipped``."""
     rng = random.Random(seed)
-    result = SuiteResult("approximation direction and monotonicity")
-    start = time.monotonic()
-    positives = 0
-    attempts = 0
-    while positives < count and attempts < count * 200:
-        attempts += 1
+    while True:
         f = gen_sentence(rng)
         if free_vars(f):
-            result.skipped["not a sentence"] += 1
+            skipped["not a sentence"] += 1
             continue
         nf = normal_form(f)
         try:
-            book = build_indices(nf, max_level, max_blocks=30)
+            af = build_approx(nf, max_level, max_blocks=30)
         except ApproxGuard:
-            result.skipped["over the block cap"] += 1
+            skipped["over the block cap"] += 1
             continue
-        if book.total_blocks() * (len(nf.w) + len(nf.x)) > 120:
-            result.skipped["over the size filter"] += 1
+        if af.book.total_blocks() * (len(nf.w) + len(nf.x)) > 120:
+            skipped["over the size filter"] += 1
             continue
-        model = gen_model(rng, max_size=3)
-        values = [check_approx(model, nf, n) for n in range(max_level + 1)]
+        yield f, nf, af, gen_model(rng, max_size=3)
+
+
+def suite_approximations(seed: int = DEFAULT_SEED, count: int = 200,
+                         max_level: int = 2) -> SuiteResult:
+    result = SuiteResult("approximation direction and monotonicity")
+    start = time.monotonic()
+    positives = 0
+    stream = approx_stream(seed, result.skipped, max_level)
+    for f, _, af, model in itertools.islice(stream, count * 200):
+        values = _report(model, af).values
         for lower, higher in zip(values, values[1:]):
             _tally(result, lower or not higher, f"monotonicity failed on {f!r}")
         if not eval_fast(model, SINGLETON_EMPTY_DOMAIN, f):
             continue
         positives += 1
         _tally(result, all(values), f"approximation failed on true sentence {f!r}")
+        if positives == count:
+            break
     if positives < count:
         result.failed += 1
         result.notes.append(f"only {positives} positive instances generated")

@@ -1,24 +1,35 @@
 import hashlib
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inclogic import approx
 from inclogic.approx import (
     ApproxError,
     ROOT,
+    _levels,
     _split_and,
+    approx_report,
     build_approx,
     build_indices,
-    check_approx,
     encode_index,
     prefix_truth,
 )
 from inclogic.models import SINGLETON_EMPTY_DOMAIN, parse_model
-from inclogic.normalform import normal_form
+from inclogic.normalform import NormalForm, normal_form
 from inclogic.parser import parse_formula
 from inclogic.semantics import GuardExceeded, _fo, eval_fast
-from inclogic.suites import DEFAULT_SEED, SUITE_SIG, gen_formula, gen_model, gen_sentence
+from inclogic.suites import (
+    DEFAULT_SEED,
+    SUITE_SIG,
+    approx_stream,
+    gen_formula,
+    gen_model,
+    gen_sentence,
+)
 from inclogic.syntax import (
     App,
     Const,
@@ -198,22 +209,9 @@ def _whole_matrix_approx(nf, n, strong=False):
 
 
 def _criterion_5_stream(count=400):
-    """Criterion 5's sentences under its size filter, each with its model."""
-    rng = random.Random(DEFAULT_SEED)
-    out = []
-    while len(out) < count:
-        f = gen_sentence(rng)
-        if free_vars(f):
-            continue
-        nf = normal_form(f)
-        try:
-            book = build_indices(nf, 2, max_blocks=30)
-        except GuardExceeded:
-            continue
-        if book.total_blocks() * (len(nf.w) + len(nf.x)) > 120:
-            continue
-        out.append((f, nf, gen_model(rng, max_size=3)))
-    return out
+    """Criterion 5's sentences under its size filter, each with its normal
+    form, its level-2 build and its model."""
+    return list(itertools.islice(approx_stream(DEFAULT_SEED, Counter()), count))
 
 
 def sentence(text):
@@ -301,6 +299,12 @@ class TestBuildApprox:
         names = [v for _, v in af1.prefix]
         assert len(names) == len(set(names))
 
+    def test_w_and_x_sharing_a_name_clash(self):
+        nf = NormalForm(z=(), w=("a", "b"), x=("a",), y="y", i_atoms=(), j_indices=(),
+                        alpha=TRUE)
+        with pytest.raises(ApproxError, match="^variable name clash 'a'$"):
+            build_approx(nf, 1)
+
 
 class TestCheckApprox:
     def test_matches_direct_evaluation_small(self):
@@ -332,15 +336,13 @@ relation P/1: (a)
 relation R/2: (a,b) (b,a)
 """)
         assert eval_fast(model, SINGLETON_EMPTY_DOMAIN, sentence("A a. E b. R(a,b)"))
-        for n in range(3):
-            assert check_approx(model, nf, n)
+        assert approx_report(model, nf, cap=2).values == (True, True, True)
 
     def test_monotone_failure_point(self):
         # on the model where P holds of one element only, forall a P(a) has
         # a true 0-approximation and false deeper ones
         nf = nf_of("A a. P(a)")
-        values = [check_approx(M2, nf, n) for n in range(3)]
-        assert values == [True, False, False]
+        assert approx_report(M2, nf, cap=2).values == (True, False, False)
 
     def test_strong_implies_plain(self):
         rng = random.Random(17)
@@ -359,30 +361,16 @@ relation R/2: (a,b) (b,a)
             af_strong = build_approx(nf, 1, strong=True, max_blocks=8)
             model = gen_model(rng, max_size=2)
             strong = eval_fast(model, SINGLETON_EMPTY_DOMAIN, af_strong.formula)
-            plain = check_approx(model, nf, 1)
+            plain = approx_report(model, nf, cap=1).values[1]
             assert plain or not strong
             checked += 1
 
     def test_matches_dfs_on_criterion_5_stream(self):
         # criterion 5's sentence stream and size filter; the reference search
         # is capped, and the levels it cannot decide within the cap are counted
-        rng = random.Random(DEFAULT_SEED)
-        sentences = compared = skipped = 0
-        while sentences < 400:
-            f = gen_sentence(rng)
-            if free_vars(f):
-                continue
-            nf = normal_form(f)
-            try:
-                book = build_indices(nf, 2, max_blocks=30)
-            except GuardExceeded:
-                continue
-            if book.total_blocks() * (len(nf.w) + len(nf.x)) > 120:
-                continue
-            model = gen_model(rng, max_size=3)
-            sentences += 1
-            for n in range(3):
-                af = build_approx(nf, n)
+        compared = skipped = 0
+        for f, _, built, model in _criterion_5_stream():
+            for n, af in enumerate(_levels(built)):
                 try:
                     expected = _dfs_prefix_truth(model, af.prefix, af.conjuncts,
                                                  max_nodes=20_000)
@@ -394,9 +382,7 @@ relation R/2: (a,b) (b,a)
         assert (compared, skipped) == (1177, 23)
 
     def test_independent_subgames_stay_within_budget(self):
-        nf = nf_of(TRIP)
-        for n in range(4):
-            assert check_approx(M3, nf, n, max_nodes=10_000)
+        assert all(approx_report(M3, nf_of(TRIP), cap=3, max_nodes=10_000).values)
 
     def test_budget_still_guards(self):
         # every existential of TRIP's level 2 is pinned, so the game folds
@@ -456,8 +442,39 @@ relation R/2: (a,b) (b,a)
 
 
 class TestAgainstReferences:
+    def test_levels_sliced_from_one_build_match_fresh_builds(self):
+        for _, nf, _, _ in _criterion_5_stream():
+            for strong in (False, True):
+                levels = list(_levels(build_approx(nf, 2, strong=strong)))
+                assert len(levels) == 3
+                for m, sliced in enumerate(levels):
+                    fresh = build_approx(nf, m, strong=strong)
+                    assert (sliced.prefix, sliced.conjuncts, sliced.book.levels,
+                            sliced.formula) == (fresh.prefix, fresh.conjuncts,
+                                                fresh.book.levels, fresh.formula), (nf, m)
+
+    def test_report_matches_fresh_levels(self):
+        for _, nf, _, model in _criterion_5_stream():
+            fresh = [build_approx(nf, m) for m in range(3)]
+            report = approx_report(model, nf, cap=2)
+            assert report.values == tuple(prefix_truth(model, af.prefix, af.conjuncts)
+                                          for af in fresh), nf
+            assert report.sizes == tuple(af.size() for af in fresh), nf
+
+    def test_report_builds_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_indices(*args, **kwargs)
+
+        monkeypatch.setattr(approx, "build_indices", counted)
+        report = approx_report(M2, nf_of("E a. a = a"), cap=50)
+        assert len(calls) == 1
+        assert len(report.values) == 51 and all(report.values) and report.stable
+
     def test_split_once_matches_whole_matrix_renaming(self):
-        for _, nf, _ in _criterion_5_stream():
+        for _, nf, _, _ in _criterion_5_stream():
             for n in range(3):
                 for strong in (False, True):
                     af = build_approx(nf, n, strong=strong)
@@ -488,7 +505,7 @@ class TestAgainstReferences:
         # plain and strong, taken when build_approx still assembled the
         # formula on every call
         digest = hashlib.sha256()
-        for _, nf, _ in _criterion_5_stream():
+        for _, nf, _, _ in _criterion_5_stream():
             for n in range(3):
                 for strong in (False, True):
                     af = build_approx(nf, n, strong=strong)
@@ -498,7 +515,7 @@ class TestAgainstReferences:
 
     def test_indexed_miniscoping_matches_scan(self):
         outcomes = set()
-        for f, nf, model in _criterion_5_stream():
+        for f, nf, _, model in _criterion_5_stream():
             for n in range(3):
                 af = build_approx(nf, n)
                 for max_nodes in (10, 100, 1000, 4_000_000):
