@@ -32,6 +32,7 @@ from .syntax import (
     exists_seq,
     free_vars,
     is_first_order,
+    operands,
     quantifier_depth,
     _rename,
 )
@@ -157,7 +158,7 @@ def build_approx(nf: NormalForm, n: int, strong: bool = False,
             x_of[xi] = tuple(f"{v}_{enc}" for v in nf.x)
     ys = tuple(f"y{m}" for m in range(n + 1))
     var = {u: Var(u) for us in (*w_of.values(), *x_of.values(), ys) for u in us}
-    alpha_parts = tuple(_split_and(nf.alpha))
+    alpha_parts = tuple(operands(nf.alpha, And))
 
     # evaluation prefix: x-parts before w-parts inside each existential run
     # (the alpha equalities then determine most w-components immediately);
@@ -211,17 +212,9 @@ def build_approx(nf: NormalForm, n: int, strong: bool = False,
     )
 
 
-def _split_and(f: Formula) -> Iterator[Formula]:
-    if isinstance(f, And):
-        yield from _split_and(f.left)
-        yield from _split_and(f.right)
-    else:
-        yield f
-
-
 def _join(shape: Formula, parts: Iterator[Formula]) -> Formula:
     """``shape``'s ``And`` tree over the next conjuncts of ``parts``; the
-    inverse of ``_split_and``."""
+    inverse of ``operands(shape, And)``."""
     if isinstance(shape, And):
         left = _join(shape.left, parts)
         return And(left, _join(shape.right, parts))
@@ -340,17 +333,18 @@ def approx_report(model: Model, nf: NormalForm, cap: int = 3,
 
 def _report(model: Model, af: ApproxFormula, stable_bound: int = 2,
             max_nodes: int = 4_000_000) -> ApproxReport:
-    """``approx_report`` on the levels of the one build ``af``."""
-    levels = list(_levels(af))
-    values = tuple(prefix_truth(model, lv.prefix, lv.conjuncts, max_nodes) for lv in levels)
-    return ApproxReport(values, tuple(lv.size() for lv in levels),
-                        all(values) and len(levels) > stable_bound)
+    """``approx_report`` on the levels of the one build ``af``, each played as
+    ``_levels`` yields it and kept only as its (value, size) pair, so a
+    level's slices are freed before the next level is cut."""
+    values, sizes = zip(*((prefix_truth(model, lv.prefix, lv.conjuncts, max_nodes), lv.size())
+                          for lv in _levels(af)))
+    return ApproxReport(values, sizes, all(values) and len(values) > stable_bound)
 
 
 def _levels(af: ApproxFormula) -> Iterator[ApproxFormula]:
     """Levels 0, 1, ... of ``af`` as slices of it: a level-n build opens with
     the prefix, conjuncts and index book of every lower level."""
-    width = sum(1 for _ in _split_and(af.alpha))
+    width = sum(1 for _ in operands(af.alpha, And))
     p = c = 0
     for m, (names, _, copies, extra) in enumerate(af.levels, 1):
         p, c = p + len(names) + 1, c + copies * width + extra

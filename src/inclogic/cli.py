@@ -190,6 +190,8 @@ def _dispatch(args, out: Output) -> int:
         return EXIT_TRUE
 
     if args.command == "approx":
+        if args.strong and args.model is not None:
+            raise FormulaError("--model evaluates plain approximations only, not --strong")
         model = _load_model(args.model)
         f = parse_formula(_formula_text(args), _signature(model))
         if free_vars(f):
@@ -203,7 +205,7 @@ def _dispatch(args, out: Output) -> int:
                   "quantified_vars": qvars, "conjuncts": conjuncts,
                   "formula": pretty(af.formula)}
         code = EXIT_TRUE
-        if args.model is not None and not args.strong:
+        if args.model is not None:
             report = approx_report(model, nf, cap=args.cap,
                                    stable_bound=args.stable_bound)
             for level, value in enumerate(report.values):

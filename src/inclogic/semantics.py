@@ -46,6 +46,7 @@ from .syntax import (
     Var,
     free_vars,
     is_first_order,
+    operands,
     quantifier_depth,
 )
 
@@ -354,14 +355,10 @@ def _dropped(model: Model, team: Team, f: Formula):
     stack = [(f, team.domain, team.rows, None, root)]
     while stack:
         g, dom, rows, at, siblings = stack.pop()
-        parts, fo, incs, branches = [g], [], [], []
-        while parts:
-            h = parts.pop()
-            if isinstance(h, And):
-                parts += (h.right, h.left)
-            else:
-                (fo if h._first_order else incs if isinstance(h, Inclusion)
-                 else branches).append(h)
+        fo, incs, branches = [], [], []
+        for h in operands(g, And):
+            (fo if h._first_order else incs if isinstance(h, Inclusion)
+             else branches).append(h)
         values = None if at is None else _values(model, dom, at, fo)
         if values:  # ``rows`` are keys to extend at ``at``
             rows = (k[:at] + (a,) + k[at:] for k in rows for a in values(k))
@@ -489,18 +486,13 @@ def _row_test(model: Model, names: tuple[str, ...], f: Formula):
         body = _row_test(model, names, f.body)
         return lambda r: not body(r)
     if isinstance(f, (And, Or)):
-        # a chain of one connective flattened on a stack, as in ``_fo``
-        chain, tests, stack = type(f), [], [f]
-        while stack:
-            g = stack.pop()
-            if type(g) is chain:
-                stack += (g.right, g.left)
-            else:
-                tests.append(_row_test(model, names, g))
+        tests = []  # a loop: a comprehension costs a frame on this per-call path
+        for g in operands(f, type(f)):
+            tests.append(_row_test(model, names, g))
         if len(tests) == 2:
             a, b = tests
-            return (lambda r: a(r) or b(r)) if chain is Or else lambda r: a(r) and b(r)
-        join = any if chain is Or else all
+            return (lambda r: a(r) or b(r)) if isinstance(f, Or) else lambda r: a(r) and b(r)
+        join = any if isinstance(f, Or) else all
         return lambda r: join(t(r) for t in tests)
     if isinstance(f, (Exists, Forall)):
         body, universe = _row_test(model, names + (f.var,), f.body), model.universe

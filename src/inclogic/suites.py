@@ -14,7 +14,9 @@ import itertools
 import random
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .approx import _report, build_approx, GuardExceeded as ApproxGuard
 from .inddep import (
@@ -80,6 +82,26 @@ class SuiteResult:
                 f" {self.failed} violations, {self.elapsed:.1f}s{self.skips()}{extra}")
 
 
+@contextmanager
+def _suite(name: str) -> Iterator[SuiteResult]:
+    """The result of the suite ``name``; ``elapsed`` is set when the block ends."""
+    result = SuiteResult(name)
+    start = time.monotonic()
+    try:
+        yield result
+    finally:
+        result.elapsed = time.monotonic() - start
+
+
+def _tally(result: SuiteResult, ok: bool, note: str):
+    if ok:
+        result.passed += 1
+    else:
+        result.failed += 1
+        if len(result.notes) < 5:
+            result.notes.append(note)
+
+
 # ---------------------------------------------------------------------------
 # Random generators
 
@@ -95,16 +117,13 @@ def gen_model(rng: random.Random, max_size: int = 3, sig: Signature = SUITE_SIG)
 
 def gen_team(rng: random.Random, model: Model, variables: tuple[str, ...],
              max_rows: int) -> Team:
-    rows = set()
-    for _ in range(rng.randint(0, max_rows)):
-        rows.add(tuple(rng.choice(model.universe) for _ in variables))
-    return Team(tuple(sorted(variables)), frozenset(
-        tuple(r[i] for i in _sort_index(variables)) for r in rows))
-
-
-def _sort_index(variables: tuple[str, ...]) -> list[int]:
-    order = sorted(range(len(variables)), key=lambda i: variables[i])
-    return order
+    """Up to ``max_rows`` rows, each drawn in ``variables`` order, as a team
+    over their sorted order."""
+    order = sorted(range(len(variables)), key=variables.__getitem__)
+    rows = {tuple(rng.choice(model.universe) for _ in variables)
+            for _ in range(rng.randint(0, max_rows))}
+    return Team(tuple(sorted(variables)),
+                frozenset(tuple(r[i] for i in order) for r in rows))
 
 
 def gen_atom(rng: random.Random, pool: tuple[str, ...], fo_only: bool,
@@ -172,19 +191,12 @@ def oracle_stream(seed: int, skipped: Counter, cost_cap: float = 60_000.0):
 
 def suite_oracle_equivalence(seed: int = DEFAULT_SEED, count: int = 10_000,
                              cost_cap: float = 60_000.0) -> SuiteResult:
-    result = SuiteResult("oracle equivalence eval_fast = eval_naive")
-    start = time.monotonic()
     guards = Guards(max_rows=8, max_universe=4, max_depth=4, max_work=10_000_000)
-    stream = oracle_stream(seed, result.skipped, cost_cap)
-    for model, team, f in itertools.islice(stream, count):
-        naive = eval_naive(model, team, f, guards)
-        fast = eval_fast(model, team, f)
-        if naive == fast:
-            result.passed += 1
-        else:
-            result.failed += 1
-            result.notes.append(f"disagreement on {f!r}")
-    result.elapsed = time.monotonic() - start
+    with _suite("oracle equivalence eval_fast = eval_naive") as result:
+        stream = oracle_stream(seed, result.skipped, cost_cap)
+        for model, team, f in itertools.islice(stream, count):
+            _tally(result, eval_naive(model, team, f, guards) == eval_fast(model, team, f),
+                   f"disagreement on {f!r}")
     return result
 
 
@@ -193,55 +205,53 @@ def suite_oracle_equivalence(seed: int = DEFAULT_SEED, count: int = 10_000,
 
 def suite_lemma_properties(seed: int = DEFAULT_SEED, count: int = 10_000) -> SuiteResult:
     rng = random.Random(seed)
-    result = SuiteResult("locality / union closure / flatness / downward / empty team")
-    start = time.monotonic()
-    pool = ("x", "y", "z")
-    extra = ("x", "y", "z", "t1", "t2")
-    for _ in range(count):
-        model = gen_model(rng, max_size=3)
+    with _suite("locality / union closure / flatness / downward / empty team") as result:
+        pool = ("x", "y", "z")
+        extra = ("x", "y", "z", "t1", "t2")
+        for _ in range(count):
+            model = gen_model(rng, max_size=3)
 
-        # locality: junk columns beyond the free variables never matter
-        f = gen_formula(rng, pool, rng.randint(1, 10))
-        fv = tuple(sorted(free_vars(f))) or ("x",)
-        base = gen_team(rng, model, fv, max_rows=5)
-        wide_a = _pad_team(rng, model, base, extra)
-        wide_b = _pad_team(rng, model, base, extra)
-        ok = (eval_fast(model, wide_a, f) == eval_fast(model, base, f)
-              == eval_fast(model, wide_b, f))
-        _tally(result, ok, f"locality violated on {f!r}")
+            # locality: junk columns beyond the free variables never matter
+            f = gen_formula(rng, pool, rng.randint(1, 10))
+            fv = tuple(sorted(free_vars(f))) or ("x",)
+            base = gen_team(rng, model, fv, max_rows=5)
+            wide_a = _pad_team(rng, model, base, extra)
+            wide_b = _pad_team(rng, model, base, extra)
+            ok = (eval_fast(model, wide_a, f) == eval_fast(model, base, f)
+                  == eval_fast(model, wide_b, f))
+            _tally(result, ok, f"locality violated on {f!r}")
 
-        # union closure via maximal satisfying subteams
-        big = gen_team(rng, model, fv, max_rows=6)
-        part_a = max_subteam(model, big, f)
-        part_b = max_subteam(model, gen_team(rng, model, fv, max_rows=6), f)
-        union = Team(part_a.domain, part_a.rows | part_b.rows)
-        ok = eval_fast(model, union, f)
-        _tally(result, ok, f"union closure violated on {f!r}")
+            # union closure via maximal satisfying subteams
+            big = gen_team(rng, model, fv, max_rows=6)
+            part_a = max_subteam(model, big, f)
+            part_b = max_subteam(model, gen_team(rng, model, fv, max_rows=6), f)
+            union = Team(part_a.domain, part_a.rows | part_b.rows)
+            ok = eval_fast(model, union, f)
+            _tally(result, ok, f"union closure violated on {f!r}")
 
-        # flatness and downward closure of first-order formulas, with the
-        # team-clause recursion forced (fo_flat=False) so the check is real;
-        # a pair too costly for the naive engine is redrawn
-        while True:
-            alpha = gen_formula(rng, pool, rng.randint(1, 6), fo_only=True,
-                                quant_budget=2)
-            small = gen_team(rng, model, pool, max_rows=3)
-            if naive_cost_estimate(alpha, len(small), len(model.universe),
-                                   fo_flat=False) < 20_000:
-                break
-            result.skipped["flatness pair over the naive cost cap, redrawn"] += 1
-        flat = all(eval_fo(model, s, alpha) for s in small.assignments())
-        teamwise = eval_naive(model, small, alpha, fo_flat=False)
-        _tally(result, flat == teamwise, f"flatness violated on {alpha!r}")
-        sub_rows = frozenset(r for r in small.rows if rng.random() < 0.5)
-        sub = Team(small.domain, sub_rows)
-        down = (not teamwise) or eval_naive(model, sub, alpha, fo_flat=False)
-        _tally(result, down, f"downward closure violated on {alpha!r}")
+            # flatness and downward closure of first-order formulas, with the
+            # team-clause recursion forced (fo_flat=False) so the check is real;
+            # a pair too costly for the naive engine is redrawn
+            while True:
+                alpha = gen_formula(rng, pool, rng.randint(1, 6), fo_only=True,
+                                    quant_budget=2)
+                small = gen_team(rng, model, pool, max_rows=3)
+                if naive_cost_estimate(alpha, len(small), len(model.universe),
+                                       fo_flat=False) < 20_000:
+                    break
+                result.skipped["flatness pair over the naive cost cap, redrawn"] += 1
+            flat = all(eval_fo(model, s, alpha) for s in small.assignments())
+            teamwise = eval_naive(model, small, alpha, fo_flat=False)
+            _tally(result, flat == teamwise, f"flatness violated on {alpha!r}")
+            sub_rows = frozenset(r for r in small.rows if rng.random() < 0.5)
+            sub = Team(small.domain, sub_rows)
+            down = (not teamwise) or eval_naive(model, sub, alpha, fo_flat=False)
+            _tally(result, down, f"downward closure violated on {alpha!r}")
 
-        # empty team satisfies everything
-        empty = Team(tuple(sorted(free_vars(f))), frozenset())
-        ok = eval_fast(model, empty, f) and eval_naive(model, empty, f)
-        _tally(result, ok, f"empty team property violated on {f!r}")
-    result.elapsed = time.monotonic() - start
+            # empty team satisfies everything
+            empty = Team(tuple(sorted(free_vars(f))), frozenset())
+            ok = eval_fast(model, empty, f) and eval_naive(model, empty, f)
+            _tally(result, ok, f"empty team property violated on {f!r}")
     return result
 
 
@@ -257,15 +267,6 @@ def _pad_team(rng: random.Random, model: Model, base: Team,
                     values[v] = rng.choice(model.universe)
             rows.add(tuple(values[v] for v in dom))
     return Team(dom, frozenset(rows))
-
-
-def _tally(result: SuiteResult, ok: bool, note: str):
-    if ok:
-        result.passed += 1
-    else:
-        result.failed += 1
-        if len(result.notes) < 5:
-            result.notes.append(note)
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +295,14 @@ def normalform_stream(seed: int, skipped: Counter):
 
 
 def suite_normalform(seed: int = DEFAULT_SEED, count: int = 1000) -> SuiteResult:
-    result = SuiteResult("normal-form semantic preservation")
-    start = time.monotonic()
-    stream = normalform_stream(seed, result.skipped)
-    for f, rendered, model, team in itertools.islice(stream, count):
-        if free_vars(rendered) != free_vars(f):
-            _tally(result, False, f"free variables changed on {f!r}")
-            continue
-        ok = eval_fast(model, team, f) == eval_fast(model, team, rendered)
-        _tally(result, ok, f"normal form changed satisfaction on {f!r}")
-    result.elapsed = time.monotonic() - start
+    with _suite("normal-form semantic preservation") as result:
+        stream = normalform_stream(seed, result.skipped)
+        for f, rendered, model, team in itertools.islice(stream, count):
+            if free_vars(rendered) != free_vars(f):
+                _tally(result, False, f"free variables changed on {f!r}")
+                continue
+            ok = eval_fast(model, team, f) == eval_fast(model, team, rendered)
+            _tally(result, ok, f"normal form changed satisfaction on {f!r}")
     return result
 
 
@@ -336,20 +335,18 @@ def _has_cycle(elems: tuple[str, ...], edges: frozenset[tuple[str, str]]) -> boo
 def suite_wellfoundedness() -> SuiteResult:
     from .parser import parse_formula
 
-    result = SuiteResult("non-well-foundedness sentence = cycle detection")
-    start = time.monotonic()
-    sig = Signature({"<": 2}, {}, frozenset())
-    sentence = parse_formula("E x. E y. (y <= x & y < x)", sig)
-    for size in (2, 3):
-        elems = tuple(str(i) for i in range(size))
-        pairs = list(itertools.product(elems, repeat=2))
-        for bits in range(1 << len(pairs)):
-            edges = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
-            model = _digraph_model(elems, edges)
-            truth = eval_fast(model, SINGLETON_EMPTY_DOMAIN, sentence)
-            _tally(result, truth == _has_cycle(elems, edges),
-                   f"mismatch on edges {sorted(edges)}")
-    result.elapsed = time.monotonic() - start
+    with _suite("non-well-foundedness sentence = cycle detection") as result:
+        sig = Signature({"<": 2}, {}, frozenset())
+        sentence = parse_formula("E x. E y. (y <= x & y < x)", sig)
+        for size in (2, 3):
+            elems = tuple(str(i) for i in range(size))
+            pairs = list(itertools.product(elems, repeat=2))
+            for bits in range(1 << len(pairs)):
+                edges = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
+                model = _digraph_model(elems, edges)
+                truth = eval_fast(model, SINGLETON_EMPTY_DOMAIN, sentence)
+                _tally(result, truth == _has_cycle(elems, edges),
+                       f"mismatch on edges {sorted(edges)}")
     return result
 
 
@@ -394,24 +391,22 @@ def approx_stream(seed: int, skipped: Counter, max_level: int = 2):
 
 def suite_approximations(seed: int = DEFAULT_SEED, count: int = 200,
                          max_level: int = 2) -> SuiteResult:
-    result = SuiteResult("approximation direction and monotonicity")
-    start = time.monotonic()
-    positives = 0
-    stream = approx_stream(seed, result.skipped, max_level)
-    for f, _, af, model in itertools.islice(stream, count * 200):
-        values = _report(model, af).values
-        for lower, higher in zip(values, values[1:]):
-            _tally(result, lower or not higher, f"monotonicity failed on {f!r}")
-        if not eval_fast(model, SINGLETON_EMPTY_DOMAIN, f):
-            continue
-        positives += 1
-        _tally(result, all(values), f"approximation failed on true sentence {f!r}")
-        if positives == count:
-            break
-    if positives < count:
-        result.failed += 1
-        result.notes.append(f"only {positives} positive instances generated")
-    result.elapsed = time.monotonic() - start
+    with _suite("approximation direction and monotonicity") as result:
+        positives = 0
+        stream = approx_stream(seed, result.skipped, max_level)
+        for f, _, af, model in itertools.islice(stream, count * 200):
+            values = _report(model, af).values
+            for lower, higher in zip(values, values[1:]):
+                _tally(result, lower or not higher, f"monotonicity failed on {f!r}")
+            if not eval_fast(model, SINGLETON_EMPTY_DOMAIN, f):
+                continue
+            positives += 1
+            _tally(result, all(values), f"approximation failed on true sentence {f!r}")
+            if positives == count:
+                break
+        if positives < count:
+            result.failed += 1
+            result.notes.append(f"only {positives} positive instances generated")
     return result
 
 
@@ -428,36 +423,35 @@ def corpus_scripts() -> list[tuple[str, str]]:
 
 
 def suite_proof_corpus(min_scripts: int = 15, min_mutants: int = 100) -> SuiteResult:
-    result = SuiteResult("proof corpus accepted, mutants rejected")
-    start = time.monotonic()
-    scripts = []
-    for name, text in corpus_scripts():
-        script = parse_script(text)
-        report = check_script(script)
-        _tally(result, report.accepted, f"{name} rejected")
-        scripts.append((name, script))
-    if len(scripts) < min_scripts:
-        result.failed += 1
-        result.notes.append(f"only {len(scripts)} corpus scripts")
-    total_mutants = 0
-    for name, script in scripts:
-        for mutant in mutants(script):
-            total_mutants += 1
-            report = check_script(mutant.script)
-            _tally(result, not report.accepted,
-                   f"{name}: mutant accepted ({mutant.description})")
-    if total_mutants < min_mutants:
-        result.failed += 1
-        result.notes.append(f"only {total_mutants} mutants generated")
-    result.notes.append(f"{len(scripts)} scripts, {total_mutants} mutants")
-    result.elapsed = time.monotonic() - start
+    with _suite("proof corpus accepted, mutants rejected") as result:
+        scripts = []
+        for name, text in corpus_scripts():
+            script = parse_script(text)
+            report = check_script(script)
+            _tally(result, report.accepted, f"{name} rejected")
+            scripts.append((name, script))
+        if len(scripts) < min_scripts:
+            result.failed += 1
+            result.notes.append(f"only {len(scripts)} corpus scripts")
+        total_mutants = 0
+        for name, script in scripts:
+            for mutant in mutants(script):
+                total_mutants += 1
+                report = check_script(mutant.script)
+                _tally(result, not report.accepted,
+                       f"{name}: mutant accepted ({mutant.description})")
+        if total_mutants < min_mutants:
+            result.failed += 1
+            result.notes.append(f"only {total_mutants} mutants generated")
+        result.notes.append(f"{len(scripts)} scripts, {total_mutants} mutants")
     return result
 
 
 # ---------------------------------------------------------------------------
 # Criterion 7: no countermodels for corpus conclusions
 
-def _all_models(sig: Signature, size: int) -> list[Model]:
+def _all_models(sig: Signature, size: int) -> Iterator[Model]:
+    """Each model of ``sig`` over ``size`` elements, one at a time."""
     elems = tuple(str(i) for i in range(size))
     rel_options = []
     names = sorted(sig.relations)
@@ -468,45 +462,37 @@ def _all_models(sig: Signature, size: int) -> list[Model]:
             for bits in range(1 << len(tuples))
         ]
         rel_options.append(options)
-    models = []
     for combo in itertools.product(*rel_options):
-        models.append(Model(sig, elems, dict(zip(names, combo)), {}, {}))
-    return models
+        yield Model(sig, elems, dict(zip(names, combo)), {}, {})
+
+
+def _small_teams(dom: tuple[str, ...], universe: tuple[str, ...],
+                 max_rows: int) -> Iterator[Team]:
+    """Each team over ``dom`` of 1 to ``max_rows`` rows of ``universe``
+    values, one at a time; over the empty domain, only ``{()}``."""
+    assignments = list(itertools.product(universe, repeat=len(dom)))
+    for r in range(1, max_rows + 1):
+        for rows in itertools.combinations(assignments, r):
+            yield Team(dom, frozenset(rows))
 
 
 def suite_corpus_soundness(max_rows: int = 4) -> SuiteResult:
-    result = SuiteResult("empirical soundness of corpus conclusions")
-    start = time.monotonic()
-    for name, text in corpus_scripts():
-        script = parse_script(text)
-        report = check_script(script)
-        if not report.accepted or report.claim is None:
-            _tally(result, False, f"{name} rejected")
-            continue
-        claim = report.claim
-        variables = set()
-        for f in list(claim.context) + [claim.conclusion]:
-            variables |= free_vars(f)
-        dom = tuple(sorted(variables))
-        countermodel = False
-        for model in _all_models(script.sig, 2):
-            assignments = list(itertools.product(model.universe, repeat=len(dom)))
-            teams: list[frozenset] = [frozenset({()})] if not dom else []
-            if dom:
-                for r in range(1, max_rows + 1):
-                    teams.extend(
-                        frozenset(rows)
-                        for rows in itertools.combinations(assignments, r))
-            for rows in teams:
-                team = Team(dom, rows)
-                if all(eval_fast(model, team, g) for g in claim.context) and \
-                        not eval_fast(model, team, claim.conclusion):
-                    countermodel = True
-                    break
-            if countermodel:
-                break
-        _tally(result, not countermodel, f"{name}: countermodel found")
-    result.elapsed = time.monotonic() - start
+    with _suite("empirical soundness of corpus conclusions") as result:
+        for name, text in corpus_scripts():
+            script = parse_script(text)
+            report = check_script(script)
+            if not report.accepted or report.claim is None:
+                _tally(result, False, f"{name} rejected")
+                continue
+            claim = report.claim
+            dom = tuple(sorted(frozenset().union(
+                *map(free_vars, (*claim.context, claim.conclusion)))))
+            countermodel = any(
+                all(eval_fast(model, team, g) for g in claim.context)
+                and not eval_fast(model, team, claim.conclusion)
+                for model in _all_models(script.sig, 2)
+                for team in _small_teams(dom, model.universe, max_rows))
+            _tally(result, not countermodel, f"{name}: countermodel found")
     return result
 
 
@@ -514,31 +500,20 @@ def suite_corpus_soundness(max_rows: int = 4) -> SuiteResult:
 # Criterion 8: inclusion-dependency implication
 
 def suite_ind_implication() -> SuiteResult:
-    result = SuiteResult("inclusion-dependency implication axioms")
-    start = time.monotonic()
+    with _suite("inclusion-dependency implication axioms") as result:
+        for label, gamma, phi in (("identity", "", "x,y <= x,y"),
+                                  ("projection/permutation", "x1,x2 <= y1,y2", "x2,x1 <= y2,y1"),
+                                  ("transitivity", "x <= y; y <= z", "x <= z")):
+            problem = parse_ind_problem(gamma, phi)
+            v = ind_implies(problem)
+            _tally(result, v.kind == "derivable" and replay_derivation(problem, v.derivation),
+                   f"{label} not derivable")
 
-    identity = parse_ind_problem("", "x,y <= x,y")
-    v = ind_implies(identity)
-    _tally(result, v.kind == "derivable" and replay_derivation(identity, v.derivation),
-           "identity not derivable")
-
-    projperm = parse_ind_problem("x1,x2 <= y1,y2", "x2,x1 <= y2,y1")
-    v = ind_implies(projperm)
-    _tally(result, v.kind == "derivable" and replay_derivation(projperm, v.derivation),
-           "projection/permutation not derivable")
-
-    transitivity = parse_ind_problem("x <= y; y <= z", "x <= z")
-    v = ind_implies(transitivity)
-    _tally(result, v.kind == "derivable" and replay_derivation(transitivity, v.derivation),
-           "transitivity not derivable")
-
-    converse = parse_ind_problem("x <= y", "y <= x")
-    v = ind_implies(converse, max_rows=2, max_elems=2)
-    ok = (v.kind == "refuted" and v.team is not None and len(v.team) <= 2
-          and replay_counterexample(converse, v.team))
-    _tally(result, ok, "converse not refuted with a two-row team")
-
-    result.elapsed = time.monotonic() - start
+        converse = parse_ind_problem("x <= y", "y <= x")
+        v = ind_implies(converse, max_rows=2, max_elems=2)
+        ok = (v.kind == "refuted" and v.team is not None and len(v.team) <= 2
+              and replay_counterexample(converse, v.team))
+        _tally(result, ok, "converse not refuted with a two-row team")
     return result
 
 
@@ -547,22 +522,20 @@ def suite_ind_implication() -> SuiteResult:
 
 def suite_anonymity(seed: int = DEFAULT_SEED, count: int = 1000) -> SuiteResult:
     rng = random.Random(seed)
-    result = SuiteResult("anonymity desugaring matches the direct clause")
-    start = time.monotonic()
-    for _ in range(count):
-        model = gen_model(rng, max_size=3)
-        nx, ny = rng.randint(0, 2), rng.randint(0, 2)
-        pool = ("x1", "x2", "y1", "y2")
-        xs = pool[:nx]
-        ys = pool[2:2 + ny]
-        team = gen_team(rng, model, tuple(sorted(set(xs) | set(ys))) or ("x1",),
-                        max_rows=5)
-        sugar = desugar(Anonymity(tuple(xs), tuple(ys)))
-        via_kernel = eval_fast(model, team, sugar)
-        direct = _anonymity_direct(team, xs, ys)
-        _tally(result, via_kernel == direct,
-               f"anonymity mismatch at x={xs} y={ys}")
-    result.elapsed = time.monotonic() - start
+    with _suite("anonymity desugaring matches the direct clause") as result:
+        for _ in range(count):
+            model = gen_model(rng, max_size=3)
+            nx, ny = rng.randint(0, 2), rng.randint(0, 2)
+            pool = ("x1", "x2", "y1", "y2")
+            xs = pool[:nx]
+            ys = pool[2:2 + ny]
+            team = gen_team(rng, model, tuple(sorted(set(xs) | set(ys))) or ("x1",),
+                            max_rows=5)
+            sugar = desugar(Anonymity(tuple(xs), tuple(ys)))
+            via_kernel = eval_fast(model, team, sugar)
+            direct = _anonymity_direct(team, xs, ys)
+            _tally(result, via_kernel == direct,
+                   f"anonymity mismatch at x={xs} y={ys}")
     return result
 
 

@@ -9,6 +9,7 @@ inclusion, anonymity atoms, weak classical negation) is eliminated by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -336,25 +337,36 @@ def all_names(f: Formula) -> frozenset[str]:
     return frozenset(out)
 
 
+def operands(f: Formula, kind: type) -> Iterator[Formula]:
+    """The operands of ``f``'s maximal chain of ``kind`` nodes, left to right,
+    walked on a stack so a long chain does not recurse once per operand;
+    ``f`` alone when it is not a ``kind``."""
+    if type(f) is not kind:
+        yield f
+        return
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is kind:
+            stack += (g.right, g.left)
+        else:
+            yield g
+
+
 def conj(parts: Iterable[Formula]) -> Formula:
     """Left-associated conjunction of a nonempty list."""
-    parts = list(parts)
-    if not parts:
-        raise FormulaError("empty conjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return _fold(And, parts, "conjunction")
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
+    return _fold(Or, parts, "disjunction")
+
+
+def _fold(kind: type, parts: Iterable[Formula], what: str) -> Formula:
     parts = list(parts)
     if not parts:
-        raise FormulaError("empty disjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+        raise FormulaError(f"empty {what}")
+    return functools.reduce(kind, parts)
 
 
 def fo_implies(a: Formula, b: Formula) -> Formula:

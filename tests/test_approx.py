@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,7 +12,6 @@ from inclogic.approx import (
     ApproxError,
     ROOT,
     _levels,
-    _split_and,
     approx_report,
     build_approx,
     build_indices,
@@ -31,6 +31,7 @@ from inclogic.suites import (
     gen_sentence,
 )
 from inclogic.syntax import (
+    And,
     App,
     Const,
     Equals,
@@ -44,6 +45,7 @@ from inclogic.syntax import (
     exists_seq,
     free_vars,
     is_first_order,
+    operands,
     pretty,
     quantifier_depth,
     substitute_parallel,
@@ -180,7 +182,7 @@ def _whole_matrix_approx(nf, n, strong=False):
         parts = [substitute_parallel(nf.alpha, {v: Var(u) for v, u in
                                                 zip(nf.w + nf.x, w_of[xi] + x_of[xi])})
                  for xi in blocks]
-        split = [c for part in parts for c in _split_and(part)]
+        split = [c for part in parts for c in operands(part, And)]
         for xi in book.levels[m].e if m else ():
             rho, sigma = nf.i_atoms[xi[-1][1]]
             pw, cw = dict(zip(nf.w, w_of[xi[:-1]])), dict(zip(nf.w, w_of[xi]))
@@ -472,6 +474,20 @@ class TestAgainstReferences:
         report = approx_report(M2, nf_of("E a. a = a"), cap=50)
         assert len(calls) == 1
         assert len(report.values) == 51 and all(report.values) and report.stable
+
+    def test_report_keeps_one_level_at_a_time(self):
+        """Only each level's (value, size) pair outlives its play: at cap 1000
+        the report peaks at about 0.5 MB, against 12.2 MB when every level's
+        slices are held at once."""
+        nf = nf_of("E a. a = a")
+        tracemalloc.start()
+        try:
+            report = approx_report(M2, nf, cap=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.values) == 1001 and all(report.values)
+        assert peak < 4 * 2**20, peak
 
     def test_split_once_matches_whole_matrix_renaming(self):
         for _, nf, _, _ in _criterion_5_stream():

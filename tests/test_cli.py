@@ -147,6 +147,19 @@ def test_approx_independent_subgames(files, capsys):
     assert "level 2: true" in out and "approx-stable" in out
 
 
+def test_approx_strong_with_model_is_an_error(files, capsys):
+    """``--model`` plays the plain levels only, so with ``--strong`` it is
+    refused instead of being dropped without a word."""
+    model = files["tmp"] / "p.mod"
+    model.write_text("universe: a b\nrelation P/1: (a)\n")
+    code = main(["approx", "--formula", "A a. P(a)", "--model", str(model),
+                 "--strong", "--n", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: --model evaluates plain approximations only, not --strong\n"
+    assert main(["approx", "--formula", "A a. P(a)", "--model", str(model), "--n", "1"]) == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--n", "20000"], "approximation needs 20001 levels > cap 4000"),
     (["--model", "CYCLE", "--cap", "20000"], "approximation needs 20001 levels > cap 4000"),

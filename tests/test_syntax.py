@@ -1,9 +1,11 @@
 import gc
 import inspect
+import itertools
 import random
 import re
 import sys
 import weakref
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -13,7 +15,7 @@ from inclogic.models import parse_model, parse_team
 from inclogic.normalform import normal_form
 from inclogic.parser import ParseError, parse_formula, parse_term
 from inclogic.semantics import eval_fast, eval_naive
-from inclogic.suites import SUITE_SIG, gen_formula
+from inclogic.suites import SUITE_SIG, gen_formula, oracle_stream
 from inclogic.syntax import (
     And,
     Anonymity,
@@ -35,9 +37,11 @@ from inclogic.syntax import (
     Var,
     WeakNeg,
     alpha_equivalent,
+    conj,
     desugar,
     exists_seq,
     free_vars,
+    operands,
     is_first_order,
     pretty,
     quantifier_depth,
@@ -425,3 +429,30 @@ class TestNodeContract:
         assert quantifier_depth(chain) == 3000 and free_vars(chain) == {"x", "y"}
         assert free_vars(conj_chain) >= {"x", "v2998"} and quantifier_depth(conj_chain) == 0
         assert chain == exists_seq([f"v{k}" for k in reversed(range(3000))], Equals(_X, _Y))
+
+
+def _operands_reference(f, kind):
+    if type(f) is kind:
+        return _operands_reference(f.left, kind) + _operands_reference(f.right, kind)
+    return [f]
+
+
+class TestOperands:
+    def test_matches_recursive_reference(self):
+        stream = oracle_stream(2007, Counter())
+        for _, _, f in itertools.islice(stream, 2000):
+            for g in subformulas(f):
+                for kind in (And, Or):
+                    assert list(operands(g, kind)) == _operands_reference(g, kind)
+
+    def test_long_chain_without_recursion(self):
+        atoms = [Equals(Var(f"v{k}"), _Y) for k in range(3000)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            chain = conj(atoms)
+            walked = list(operands(chain, And))
+            alone = list(operands(chain, Or))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert walked == atoms and alone == [chain]
